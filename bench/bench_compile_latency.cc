@@ -1,28 +1,26 @@
 /**
  * @file
- * Single-big-job latency bench: one paper-scale bootstrapping job
- * (Table III row 1, full preset, 27 MB SRAM) compiled and simulated
- * serially and with within-job parallelism (`jobThreads` 2 and 8), the
- * knob PR 7 added for exactly this shape — a batch too small for the
- * sweep engine's job-level parallelism to help.
+ * Serial per-stage latency bench for the unit job: one paper-scale
+ * bootstrapping job (Table III row 1, full preset, 27 MB SRAM)
+ * compiled and simulated serially `kReps` times.
  *
  * Two roles:
  *
- * - Determinism gate (hard): cycles, machine-code fingerprint and
- *   instruction count must be identical at every `jobThreads` setting.
- *   A divergence aborts the bench — the bit-identical contract is what
- *   makes the knob safe to flip in CI and production alike.
+ * - Determinism gate (hard): every repetition must produce the same
+ *   cycles, machine-code fingerprint and instruction count; a
+ *   divergence aborts the bench.
  *
- * - Latency trajectory (soft): per-setting wall clock plus the
- *   middle/backend/sim stage split go to `BENCH_compile_latency.json`
- *   for `bench/check_regression.py` to gate against
- *   `bench/baseline_latency.json` (deterministic fields exactly,
- *   wall-clock within EFFACT_PERF_THRESHOLD). The speedup itself is
- *   reported, not gated: it is a property of the runner's core count.
+ * - Latency trajectory (soft): the min and median end-to-end wall over
+ *   the repetitions, plus the median middle-end / back-end / simulate
+ *   split and every repetition's numbers, go to
+ *   `BENCH_compile_latency.json` for `bench/check_regression.py` to
+ *   gate against `bench/baseline_latency.json` (deterministic fields
+ *   exactly, `serial_wall_ms` within EFFACT_PERF_THRESHOLD).
  *
  * Usage: bench_compile_latency [output.json]
  *        (default: BENCH_compile_latency.json)
  */
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <vector>
@@ -35,17 +33,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double
-msSince(const Clock::time_point &t0)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-}
-
 struct LatencyRun
 {
-    size_t jobThreads = 0;
-    double wallMs = 0; ///< best of `kReps` end-to-end runs
+    double wallMs = 0;
     double middleMs = 0;
     double backendMs = 0;
     double simMs = 0;
@@ -54,41 +44,44 @@ struct LatencyRun
     size_t instructions = 0;
 };
 
-constexpr int kReps = 2;
+constexpr int kReps = 5;
 
-/** One full compile+simulate of the paper-scale job at a fixed
- *  within-job width, best-of-`kReps` wall clock. */
+/** One full serial compile+simulate of the unit job. */
 LatencyRun
-measure(size_t job_threads)
+measureOnce()
 {
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.verifyLevel = 0;
+    SweepEngine engine(opts);
+    engine.submit("bootstrapping/full/sram27",
+                  [] { return buildBootstrapping(paperFhe()); },
+                  HardwareConfig::asicEffact27(),
+                  Platform::fullOptions(
+                      HardwareConfig::asicEffact27().sramBytes));
+    const Clock::time_point t0 = Clock::now();
+    const SweepResult &r = engine.runAll().front();
     LatencyRun run;
-    run.jobThreads = job_threads;
-    run.wallMs = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-        SweepOptions opts;
-        opts.threads = 1; // one job: job-level parallelism cannot help
-        opts.verifyLevel = 0;
-        opts.jobThreads = job_threads;
-        SweepEngine engine(opts);
-        engine.submit("bootstrapping/full/sram27",
-                      [] { return buildBootstrapping(paperFhe()); },
-                      HardwareConfig::asicEffact27(),
-                      Platform::fullOptions(
-                          HardwareConfig::asicEffact27().sramBytes));
-        const Clock::time_point t0 = Clock::now();
-        const SweepResult &r = engine.runAll().front();
-        const double wall = msSince(t0);
-        run.cycles = r.platform.sim.cycles;
-        run.fingerprint = r.platform.machineFingerprint;
-        run.instructions = r.platform.sim.instructions;
-        if (wall < run.wallMs) {
-            run.wallMs = wall;
-            run.middleMs = r.platform.jobStats.get("job.middle.ms");
-            run.backendMs = r.platform.jobStats.get("job.backend.ms");
-            run.simMs = r.platform.jobStats.get("job.sim.ms");
-        }
-    }
+    run.wallMs =
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    run.middleMs = r.platform.jobStats.get("job.middle.ms");
+    run.backendMs = r.platform.jobStats.get("job.backend.ms");
+    run.simMs = r.platform.jobStats.get("job.sim.ms");
+    run.cycles = r.platform.sim.cycles;
+    run.fingerprint = r.platform.machineFingerprint;
+    run.instructions = r.platform.sim.instructions;
     return run;
+}
+
+/** Median of `runs` by `field` (odd `kReps`: the middle element). */
+double
+median(const std::vector<LatencyRun> &runs, double LatencyRun::*field)
+{
+    std::vector<double> values;
+    for (const LatencyRun &run : runs)
+        values.push_back(run.*field);
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
 }
 
 int
@@ -100,53 +93,55 @@ emit(const char *path)
                   "latency bench refuses to run with EFFACT_VERIFY set: "
                   "verification would pollute the recorded wall-clock");
 
-    const std::vector<size_t> widths = {1, 2, 8};
     std::vector<LatencyRun> runs;
-    runs.reserve(widths.size());
-    for (size_t w : widths)
-        runs.push_back(measure(w));
+    for (int rep = 0; rep < kReps; ++rep)
+        runs.push_back(measureOnce());
 
-    // The determinism contract, enforced before anything is written:
-    // within-job width must not move a single output bit.
-    const LatencyRun &serial = runs.front();
+    // Repeat determinism, enforced before anything is written.
+    const LatencyRun &first = runs.front();
     for (const LatencyRun &run : runs) {
-        EFFACT_ASSERT(run.fingerprint == serial.fingerprint &&
-                          run.cycles == serial.cycles &&
-                          run.instructions == serial.instructions,
-                      "jobThreads=%zu diverged from serial: fp "
-                      "0x%016" PRIx64 " vs 0x%016" PRIx64
-                      ", cycles %.0f vs %.0f",
-                      run.jobThreads, run.fingerprint, serial.fingerprint,
-                      run.cycles, serial.cycles);
+        EFFACT_ASSERT(run.fingerprint == first.fingerprint &&
+                          run.cycles == first.cycles &&
+                          run.instructions == first.instructions,
+                      "repeat run diverged: fp 0x%016" PRIx64
+                      " vs 0x%016" PRIx64 ", cycles %.0f vs %.0f",
+                      run.fingerprint, first.fingerprint, run.cycles,
+                      first.cycles);
     }
+    double min_wall = first.wallMs;
+    for (const LatencyRun &run : runs)
+        min_wall = std::min(min_wall, run.wallMs);
+    const double median_wall = median(runs, &LatencyRun::wallMs);
 
-    const LatencyRun &wide = runs.back();
     std::FILE *f = std::fopen(path, "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot open %s for writing\n", path);
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"effact-bench-latency-v1\",\n");
+    std::fprintf(f, "  \"schema\": \"effact-bench-latency-v2\",\n");
     std::fprintf(f, "  \"compile_latency\": {\n");
     std::fprintf(f, "    \"job\": \"bootstrapping/full/sram27\",\n");
-    std::fprintf(f, "    \"instructions\": %zu,\n", serial.instructions);
-    std::fprintf(f, "    \"cycles\": %.0f,\n", serial.cycles);
+    std::fprintf(f, "    \"instructions\": %zu,\n", first.instructions);
+    std::fprintf(f, "    \"cycles\": %.0f,\n", first.cycles);
     std::fprintf(f, "    \"fingerprint\": \"0x%016" PRIx64 "\",\n",
-                 serial.fingerprint);
-    std::fprintf(f, "    \"serial_wall_ms\": %.3f,\n", serial.wallMs);
-    std::fprintf(f, "    \"parallel_wall_ms\": %.3f,\n", wide.wallMs);
-    std::fprintf(f, "    \"speedup\": %.3f,\n",
-                 serial.wallMs / wide.wallMs);
+                 first.fingerprint);
+    std::fprintf(f, "    \"reps\": %d,\n", kReps);
+    std::fprintf(f, "    \"serial_wall_ms\": %.3f,\n", min_wall);
+    std::fprintf(f, "    \"serial_wall_ms_median\": %.3f,\n", median_wall);
+    std::fprintf(f, "    \"middle_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::middleMs));
+    std::fprintf(f, "    \"backend_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::backendMs));
+    std::fprintf(f, "    \"sim_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::simMs));
     std::fprintf(f, "    \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const LatencyRun &run = runs[i];
         std::fprintf(f,
-                     "      {\"job_threads\": %zu, \"wall_ms\": %.3f, "
-                     "\"middle_ms\": %.3f, \"backend_ms\": %.3f, "
-                     "\"sim_ms\": %.3f}%s\n",
-                     run.jobThreads, run.wallMs, run.middleMs,
-                     run.backendMs, run.simMs,
+                     "      {\"wall_ms\": %.3f, \"middle_ms\": %.3f, "
+                     "\"backend_ms\": %.3f, \"sim_ms\": %.3f}%s\n",
+                     run.wallMs, run.middleMs, run.backendMs, run.simMs,
                      i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n");
@@ -155,11 +150,11 @@ emit(const char *path)
     std::fclose(f);
 
     std::fprintf(stderr,
-                 "[latency] %zu insts, %.0f cycles | serial %.1f ms, "
-                 "jobThreads=8 %.1f ms (%.2fx) | outputs bit-identical "
-                 "at every width\n",
-                 serial.instructions, serial.cycles, serial.wallMs,
-                 wide.wallMs, serial.wallMs / wide.wallMs);
+                 "[latency] %zu insts, %.0f cycles | serial wall min "
+                 "%.1f ms, median %.1f ms over %d runs | outputs "
+                 "identical on every run\n",
+                 first.instructions, first.cycles, min_wall, median_wall,
+                 kReps);
     std::printf("wrote %s\n", path);
     return 0;
 }

@@ -9,9 +9,9 @@ and baseline must agree):
   grid + the per-optimization win matrix (opt_wins), including per-job
   cycles/fingerprint matching.
 
-- effact-bench-latency-v1 (bench_compile_latency ->
-  BENCH_compile_latency.json vs bench/baseline_latency.json): the
-  single-big-job within-job-parallelism latency measurement.
+- effact-bench-latency-v2 (bench_compile_latency ->
+  BENCH_compile_latency.json vs bench/baseline_latency.json): serial
+  wall clock of the paper-scale unit job, best of five runs.
 
 - effact-bench-kernels-v1 (bench_kernels -> BENCH_kernels.json vs
   bench/baseline_kernels.json): the SIMD kernel-tier microbench. The
@@ -83,12 +83,11 @@ SCHEMAS = {
         "grid": True,
         "wins": True,
     },
-    # The latency bench itself aborts if any jobThreads setting moves a
-    # bit, so the exact keys here re-check the *cross-run* invariant:
-    # this commit produces the same machine code and cycle count as the
-    # baseline commit. The speedup ratio is recorded but not gated — it
-    # measures the runner's core count, not the code.
-    "effact-bench-latency-v1": {
+    # The latency bench itself aborts if repeat runs disagree, so the
+    # exact keys here check the *cross-commit* invariant: this commit
+    # produces the same machine code and cycle count as the baseline
+    # commit. The median and per-stage walls are recorded, not gated.
+    "effact-bench-latency-v2": {
         "exact": [
             "compile_latency.instructions",
             "compile_latency.cycles",
@@ -96,7 +95,6 @@ SCHEMAS = {
         ],
         "wall": [
             "compile_latency.serial_wall_ms",
-            "compile_latency.parallel_wall_ms",
         ],
         "grid": False,
     },

@@ -144,9 +144,8 @@ Compiler::runBackEnd(const IrProgram &prog, AnalysisManager &analyses,
     auto order = runScheduler(prog, analyses, opts_, stats);
     auto streaming = runStreaming(prog, order, opts_.streaming,
                                   opts_.fifoDepth, stats);
-    MachineProgram mp = runRegAllocAndCodegen(prog, order, streaming,
-                                              opts_, stats,
-                                              analyses.exec());
+    MachineProgram mp =
+        runRegAllocAndCodegen(prog, order, streaming, opts_, stats);
     stats.set("machine.instructions", double(mp.insts.size()));
     // Post-backend checkpoint: the machine program handed to the
     // scheduler-graph builder and the simulator is well-formed (register

@@ -8,7 +8,6 @@
 #define EFFACT_COMPILER_PASS_H
 
 #include "common/stats.h"
-#include "compiler/region.h"
 #include "ir/ir.h"
 #include "isa/isa.h"
 
@@ -98,34 +97,21 @@ struct CompilerOptions
 // Each records detailed statistics and returns its total number of
 // rewrites, so the pass-manager layer can detect change (and keep
 // cached analyses sound) without duplicating the passes' stat keys.
-//
-// Every pass takes an optional `ParallelExec`. The default (serial)
-// executor selects the legacy single-threaded scan — the oracle path.
-// A parallel executor selects a region-sharded algorithm that produces
-// the *identical* final IR and the identical stat counts at any thread
-// count (chunk boundaries depend only on the program size, and every
-// cross-chunk merge is performed in deterministic ascending-chunk
-// order), so machine code, fingerprints and `CompileCache` snapshots
-// are byte-identical to the serial pipeline.
 
 /** Copy propagation: removes VecCopy chains. */
-size_t runCopyProp(IrProgram &prog, StatSet &stats,
-                   const ParallelExec &exec = ParallelExec());
+size_t runCopyProp(IrProgram &prog, StatSet &stats);
 
 /** Constant propagation/folding on immediate operands. */
-size_t runConstProp(IrProgram &prog, StatSet &stats,
-                    const ParallelExec &exec = ParallelExec());
+size_t runConstProp(IrProgram &prog, StatSet &stats);
 
 /** Value-numbering PRE: removes redundant computations and re-loads of
  *  read-only data (models on-chip key/constant reuse). */
-size_t runPre(IrProgram &prog, StatSet &stats,
-              const ParallelExec &exec = ParallelExec());
+size_t runPre(IrProgram &prog, StatSet &stats);
 
 /** Peephole computation merge: MUL+ADD -> MAC (executed on reused NTT
  *  units, Sec. III-2) and iNTT 1/N post-scale folding into BConv
  *  constants (Eq. 5). */
-size_t runPeephole(IrProgram &prog, StatSet &stats,
-                   const ParallelExec &exec = ParallelExec());
+size_t runPeephole(IrProgram &prog, StatSet &stats);
 
 /**
  * Rotation-chain algebraic rewrite (spec key `"rotalg"`): composes
@@ -138,8 +124,7 @@ size_t runPeephole(IrProgram &prog, StatSet &stats,
  * AUTO unit) and canonicalizes equal net rotations onto one Galois
  * element so PRE can deduplicate them.
  */
-size_t runRotAlg(IrProgram &prog, StatSet &stats,
-                 const ParallelExec &exec = ParallelExec());
+size_t runRotAlg(IrProgram &prog, StatSet &stats);
 
 /**
  * Alias analysis (Sec. IV-B2): orders memory operations that may touch
@@ -185,8 +170,7 @@ MachineProgram runRegAllocAndCodegen(const IrProgram &prog,
                                      const std::vector<int> &order,
                                      const StreamingInfo &streaming,
                                      const CompilerOptions &opts,
-                                     StatSet &stats,
-                                     const ParallelExec &exec = ParallelExec());
+                                     StatSet &stats);
 
 class CompileCache; // compiler/compile_cache.h
 

@@ -75,20 +75,6 @@ struct SweepOptions
      */
     int verifyLevel = -1;
     /**
-     * Within-job parallelism width (defaults to the `EFFACT_JOB_THREADS`
-     * environment variable, which defaults to 1 = serial passes). When
-     * > 1, each job's middle end, analysis builds and back-end emission
-     * run region-sharded on that many workers (`ParallelExec`): a single
-     * paper-scale job drops its latency instead of only the batch
-     * throughput scaling. Results are bit-identical at any setting —
-     * chunk boundaries depend only on program sizes and every
-     * cross-chunk merge is deterministic — so this knob is deliberately
-     * NOT part of any cache key or preset hash. With `threads > 1` the
-     * shards share the batch pool via nested task groups; the pool is
-     * sized `max(threads, jobThreads)` so a lone job can still fan out.
-     */
-    size_t jobThreads = defaultJobThreadCount();
-    /**
      * Stage-pipelined execution: run each job as four chained pool
      * tasks (IR build -> middle end -> back end -> simulate) instead of
      * one monolithic task, so job A's simulation overlaps job B's back

@@ -133,10 +133,9 @@ ThreadPool::Group::submit(Task task)
 }
 
 void
-ThreadPool::Group::wait(size_t helper_worker)
+ThreadPool::Group::wait()
 {
-    const size_t inline_index =
-        helper_worker == SIZE_MAX ? pool_.threadCount() : helper_worker;
+    const size_t inline_index = pool_.threadCount();
     std::unique_lock<std::mutex> lock(pool_.mu_);
     while (pending_ > 0) {
         // Help: steal one of our own queued tasks and run it inline.
@@ -167,36 +166,20 @@ ThreadPool::Group::wait(size_t helper_worker)
     }
 }
 
-namespace {
-
 size_t
-envThreadCount(const char *name, size_t fallback)
+defaultThreadCount()
 {
-    if (const char *env = std::getenv(name)) {
+    if (const char *env = std::getenv("EFFACT_THREADS")) {
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
         if (end != env && *end == '\0' && v > 0)
             return static_cast<size_t>(v);
-        warn("ignoring invalid %s='%s' (want a positive integer)", name,
+        warn("ignoring invalid EFFACT_THREADS='%s' (want a positive "
+             "integer)",
              env);
     }
-    return fallback;
-}
-
-} // namespace
-
-size_t
-defaultThreadCount()
-{
     const unsigned hw = std::thread::hardware_concurrency();
-    return envThreadCount("EFFACT_THREADS",
-                          hw == 0 ? 1 : static_cast<size_t>(hw));
-}
-
-size_t
-defaultJobThreadCount()
-{
-    return envThreadCount("EFFACT_JOB_THREADS", 1);
+    return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
 } // namespace effact

@@ -5,12 +5,8 @@
  * submitter can give each worker its own unlocked context (the
  * `SweepEngine` hands every worker a private `AnalysisManager`).
  *
- * `ThreadPool::Group` adds nested-task support: a task already running
- * on a worker can fan out sub-tasks into the shared queue and block on
- * just those, helping execute them while it waits. That makes the pool
- * safe for two-level parallelism (jobs outside, per-job region shards
- * inside) without a second pool and without deadlock: a waiter never
- * sleeps while one of its own sub-tasks is still queued.
+ * `ThreadPool::Group` lets a caller wait on one batch of tasks without
+ * waiting for the whole pool, helping run that batch while it waits.
  */
 #ifndef EFFACT_RUNTIME_THREAD_POOL_H
 #define EFFACT_RUNTIME_THREAD_POOL_H
@@ -37,8 +33,7 @@ class ThreadPool
     /** Task signature: `worker` is the executing worker's index in
      *  `[0, threadCount())`, stable for that worker's lifetime. Tasks
      *  executed inline by a thread blocked in `Group::wait()` receive
-     *  the index that waiter passed (its own worker index, or
-     *  `threadCount()` for an external thread). */
+     *  `threadCount()`. */
     using Task = std::function<void(size_t worker)>;
 
     /**
@@ -46,7 +41,7 @@ class ThreadPool
      * *queued* (not yet running) task count seen by `trySubmit`:
      * 0 = unbounded (the batch default), > 0 = admission control for
      * service owners. Plain `submit` ignores the bound — internal
-     * fan-out (group sub-tasks, stage chaining) must never be refused,
+     * fan-out (group tasks, stage chaining) must never be refused,
      * or a half-submitted job would deadlock its own barrier.
      */
     explicit ThreadPool(size_t threads, size_t maxQueued = 0);
@@ -88,8 +83,7 @@ class ThreadPool
     void shutdown();
 
     /** Blocks until every submitted task has finished executing
-     *  (including tasks submitted through groups). Intended for the
-     *  top-level owner; nested tasks use `Group::wait()`. */
+     *  (including tasks submitted through groups). */
     void wait();
 
     /**
@@ -98,9 +92,8 @@ class ThreadPool
      * workers; `wait()` *helps*: while its own tasks sit in the queue it
      * dequeues and runs them on the calling thread, and it only sleeps
      * when every remaining task of the group is already running on some
-     * other thread. Safe to use from inside a pool task (nested
-     * parallelism) and from external threads alike. Not thread-safe
-     * itself: one thread drives a given group.
+     * other thread, so a wait never deadlocks, even on a 1-thread
+     * pool. Not thread-safe itself: one thread drives a given group.
      */
     class Group
     {
@@ -117,13 +110,10 @@ class ThreadPool
 
         /**
          * Blocks until every task submitted to this group has finished,
-         * executing queued group tasks inline while it waits. Tasks run
-         * inline receive `helper_worker` as their worker index; pass
-         * the caller's own worker index when waiting from inside a pool
-         * task (defaults to `threadCount()`, the "external thread"
-         * slot).
+         * executing queued group tasks inline while it waits (with
+         * worker index `threadCount()`).
          */
-        void wait(size_t helper_worker = SIZE_MAX);
+        void wait();
 
       private:
         friend class ThreadPool;
@@ -162,13 +152,6 @@ class ThreadPool
  * concurrency (at least 1). `EFFACT_THREADS=1` selects the serial path.
  */
 size_t defaultThreadCount();
-
-/**
- * Within-job worker-count default: the `EFFACT_JOB_THREADS` environment
- * variable when set to a positive integer, otherwise 1 (within-job
- * parallelism is opt-in; results are identical at any setting).
- */
-size_t defaultJobThreadCount();
 
 } // namespace effact
 

@@ -128,6 +128,55 @@ class WorkerGate
     std::atomic<bool> entered_{false};
 };
 
+TEST(ThreadPool, GroupWaitHelpsAndWaitsOnlyForItsOwnTasks)
+{
+    // The pool's only worker is parked in an unrelated top-level task,
+    // and another top-level task queues behind it. An external
+    // `Group::wait` must run its own queued tasks inline (index
+    // `threadCount()`), leave the unrelated task queued, and return
+    // while the worker is still blocked: no deadlock on 1 thread.
+    ThreadPool pool(1);
+    WorkerGate gate;
+    pool.submit(gate.task());
+    gate.awaitEntered();
+    std::atomic<bool> unrelated_ran{false};
+    pool.submit([&unrelated_ran](size_t) { unrelated_ran.store(true); });
+
+    std::vector<size_t> indices(5, SIZE_MAX);
+    {
+        ThreadPool::Group group(pool);
+        for (size_t t = 0; t < indices.size(); ++t)
+            group.submit([&indices, t](size_t worker) { indices[t] = worker; });
+        group.wait();
+    }
+    for (size_t index : indices)
+        EXPECT_EQ(index, pool.threadCount()) << "ran inline";
+    EXPECT_FALSE(unrelated_ran.load());
+    EXPECT_EQ(pool.queueDepth(), 1u) << "the unrelated task stays queued";
+
+    gate.open();
+    pool.wait();
+    EXPECT_TRUE(unrelated_ran.load());
+
+    // With a free worker, group tasks split between it and the waiter;
+    // the wait still returns only after every one of them has finished.
+    ThreadPool wide(2);
+    WorkerGate wide_gate;
+    wide.submit(wide_gate.task());
+    wide_gate.awaitEntered();
+    std::atomic<int> finished{0};
+    ThreadPool::Group group(wide);
+    for (int t = 0; t < 16; ++t)
+        group.submit([&finished](size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ++finished;
+        });
+    group.wait();
+    EXPECT_EQ(finished.load(), 16);
+    wide_gate.open();
+    wide.wait();
+}
+
 TEST(Backpressure, TrySubmitRejectsExactlyWhenQueueIsFull)
 {
     ThreadPool pool(1, /*maxQueued=*/3);
@@ -157,7 +206,7 @@ TEST(Backpressure, TrySubmitRejectsExactlyWhenQueueIsFull)
 
 TEST(Backpressure, UnboundedSubmitIgnoresTheAdmissionBound)
 {
-    // Internal fan-out (Group sub-tasks, stage chaining) goes through
+    // Internal fan-out (Group tasks, stage chaining) goes through
     // plain submit and must never be refused, or a half-submitted job
     // would deadlock its own barrier.
     ThreadPool pool(1, /*maxQueued=*/1);
@@ -491,7 +540,7 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
     EXPECT_GT(results[0].platform.sim.cycles, 0.0);
 }
 
-// --- Within-job parallelism and stage pipelining --------------------------
+// --- Stage pipelining and external pools ----------------------------------
 
 /** The serial oracle for a grid, with a forced verify level. */
 std::vector<SweepResult>
@@ -500,7 +549,6 @@ serialOracle(const std::vector<SweepJob> &jobs, int verify_level = -1)
     SweepOptions o;
     o.threads = 1;
     o.verifyLevel = verify_level;
-    o.jobThreads = 1; // pin: the default reads EFFACT_JOB_THREADS
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
@@ -530,76 +578,32 @@ expectSameResults(const std::vector<SweepResult> &got,
     }
 }
 
-TEST(SweepEngine, JobThreadsKeepResultsIdentical)
-{
-    // Within-job parallelism at 1, 2 and 8 shard workers — stacked on
-    // serial and concurrent job execution — must reproduce the serial
-    // oracle bit for bit (region chunking depends only on program
-    // sizes, never on worker counts).
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    SweepOptions oracle_opts;
-    oracle_opts.threads = 1;
-    oracle_opts.jobThreads = 1;
-    SweepEngine oracle_engine(oracle_opts);
-    for (const SweepJob &job : jobs)
-        oracle_engine.submit(job);
-    oracle_engine.runAll();
-    const auto oracle_agg =
-        deterministicAggregates(oracle_engine.aggregates());
-
-    for (size_t threads : {1, 3}) {
-        for (size_t job_threads : {2, 8}) {
-            SweepOptions o;
-            o.threads = threads;
-            o.jobThreads = job_threads;
-            SweepEngine engine(o);
-            for (const SweepJob &job : jobs)
-                engine.submit(job);
-            const std::string tag = "threads=" +
-                                    std::to_string(threads) +
-                                    " jobThreads=" +
-                                    std::to_string(job_threads);
-            expectSameResults(engine.runAll(), oracle, tag);
-            auto agg = deterministicAggregates(engine.aggregates());
-            agg["sweep.threads"] = oracle_agg.at("sweep.threads");
-            EXPECT_EQ(agg, oracle_agg) << tag;
-        }
-    }
-}
-
 TEST(SweepEngine, PipelinedStagesMatchMonolithic)
 {
-    // Stage-pipelined execution (with and without within-job shards)
-    // only changes host scheduling, never results or aggregates.
+    // Stage-pipelined execution only changes host scheduling, never
+    // results or aggregates.
     const std::vector<SweepJob> jobs = smallGrid();
     const std::vector<SweepResult> oracle = serialOracle(jobs);
-    for (size_t job_threads : {1, 8}) {
-        SweepOptions o;
-        o.threads = 4;
-        o.jobThreads = job_threads;
-        o.pipelineStages = true;
-        SweepEngine engine(o);
-        for (const SweepJob &job : jobs)
-            engine.submit(job);
-        const std::string tag =
-            "pipelined jobThreads=" + std::to_string(job_threads);
-        expectSameResults(engine.runAll(), oracle, tag);
-        // Per-stage wall-clock stats exist for every job, in both the
-        // pipelined and monolithic paths.
-        const StatSet &agg = engine.aggregates();
-        for (const char *key :
-             {"job.ir.ms.count", "job.middle.ms.count",
-              "job.backend.ms.count", "job.sim.ms.count"})
-            EXPECT_EQ(agg.get(key), double(jobs.size())) << tag << key;
-    }
+    SweepOptions o;
+    o.threads = 4;
+    o.pipelineStages = true;
+    SweepEngine engine(o);
+    for (const SweepJob &job : jobs)
+        engine.submit(job);
+    expectSameResults(engine.runAll(), oracle, "pipelined");
+    // Per-stage wall-clock stats exist for every job.
+    const StatSet &agg = engine.aggregates();
+    for (const char *key :
+         {"job.ir.ms.count", "job.middle.ms.count", "job.backend.ms.count",
+          "job.sim.ms.count"})
+        EXPECT_EQ(agg.get(key), double(jobs.size())) << key;
 }
 
-TEST(SweepEngine, VerifiedPresetSweepWithNestedParallelism)
+TEST(SweepEngine, VerifiedPresetSweepPipelined)
 {
     // All four Fig. 11 presets, fully checkpoint-verified, with stage
-    // pipelining and 8 shard workers: verifier-clean and equal to the
-    // serial verified oracle.
+    // pipelining: verifier-clean and equal to the serial verified
+    // oracle.
     FheParams fhe;
     fhe.logN = 13;
     fhe.levels = 8;
@@ -624,7 +628,6 @@ TEST(SweepEngine, VerifiedPresetSweepWithNestedParallelism)
     SweepOptions o;
     o.threads = 4;
     o.verifyLevel = 1;
-    o.jobThreads = 8;
     o.pipelineStages = true;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
@@ -632,22 +635,21 @@ TEST(SweepEngine, VerifiedPresetSweepWithNestedParallelism)
     expectSameResults(engine.runAll(), oracle, "verified presets");
 }
 
-TEST(SweepEngine, SharedCacheWithJobThreadsStaysIdentical)
+TEST(SweepEngine, SharedCachePipelinedStaysIdentical)
 {
-    // Shared compile cache + within-job shards + pipelining: snapshots
-    // published by region-sharded middle ends replay bit-identically.
+    // Shared compile cache + pipelining: snapshots published by one
+    // job's middle end replay bit-identically into the others.
     const std::vector<SweepJob> jobs = smallGrid();
     const std::vector<SweepResult> oracle = serialOracle(jobs);
     CompileCache cache;
     SweepOptions o;
     o.threads = 4;
     o.compileCache = &cache;
-    o.jobThreads = 8;
     o.pipelineStages = true;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "cached+sharded");
+    expectSameResults(engine.runAll(), oracle, "cached+pipelined");
     EXPECT_GT(cache.statsSnapshot().get("cache.hits"), 0.0);
 }
 
@@ -679,27 +681,9 @@ TEST(SweepEngine, ExternalPoolMatchesPrivatePool)
     EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(SweepEngine, ExternalPoolWithJobThreadsStaysIdentical)
-{
-    // Nested parallelism through the shared pool: per-job region shards
-    // fan out into the same queue the jobs came from.
-    const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    ThreadPool pool(4);
-    SweepOptions o;
-    o.threads = 4;
-    o.jobThreads = 4;
-    o.pool = &pool;
-    SweepEngine engine(o);
-    for (const SweepJob &job : jobs)
-        engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "external pool + shards");
-}
-
 TEST(DefaultThreadCount, IsPositive)
 {
     EXPECT_GE(defaultThreadCount(), 1u);
-    EXPECT_GE(defaultJobThreadCount(), 1u);
 }
 
 } // namespace
