@@ -12,10 +12,12 @@
  *
  * - Latency trajectory (soft): the min and median end-to-end wall over
  *   the repetitions, plus the median middle-end / back-end / simulate
- *   split and every repetition's numbers, go to
+ *   split, the median `pre` pass and back-end phase (schedule, stream,
+ *   regalloc) walls, and every repetition's numbers, go to
  *   `BENCH_compile_latency.json` for `bench/check_regression.py` to
  *   gate against `bench/baseline_latency.json` (deterministic fields
- *   exactly, `serial_wall_ms` within EFFACT_PERF_THRESHOLD).
+ *   exactly, `serial_wall_ms` within EFFACT_PERF_THRESHOLD; the
+ *   split and phase walls are recorded, not gated).
  *
  * Usage: bench_compile_latency [output.json]
  *        (default: BENCH_compile_latency.json)
@@ -39,6 +41,10 @@ struct LatencyRun
     double middleMs = 0;
     double backendMs = 0;
     double simMs = 0;
+    double preMs = 0;
+    double schedMs = 0;
+    double streamMs = 0;
+    double regallocMs = 0;
     double cycles = 0;
     u64 fingerprint = 0;
     size_t instructions = 0;
@@ -67,6 +73,11 @@ measureOnce()
     run.middleMs = r.platform.jobStats.get("job.middle.ms");
     run.backendMs = r.platform.jobStats.get("job.backend.ms");
     run.simMs = r.platform.jobStats.get("job.sim.ms");
+    const StatSet &cs = r.platform.compilerStats;
+    run.preMs = cs.get("pass.pre.ms");
+    run.schedMs = cs.get("backend.sched.ms");
+    run.streamMs = cs.get("backend.stream.ms");
+    run.regallocMs = cs.get("backend.regalloc.ms");
     run.cycles = r.platform.sim.cycles;
     run.fingerprint = r.platform.machineFingerprint;
     run.instructions = r.platform.sim.instructions;
@@ -135,6 +146,14 @@ emit(const char *path)
                  median(runs, &LatencyRun::backendMs));
     std::fprintf(f, "    \"sim_ms\": %.3f,\n",
                  median(runs, &LatencyRun::simMs));
+    std::fprintf(f, "    \"pass_pre_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::preMs));
+    std::fprintf(f, "    \"backend_sched_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::schedMs));
+    std::fprintf(f, "    \"backend_stream_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::streamMs));
+    std::fprintf(f, "    \"backend_regalloc_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::regallocMs));
     std::fprintf(f, "    \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const LatencyRun &run = runs[i];

@@ -34,7 +34,7 @@ runConstProp(IrProgram &prog, StatSet &stats)
             ((inst.op == IrOp::Add || inst.op == IrOp::Sub) && inst.imm == 0);
         if (identity) {
             fwd[i] = inst.a;
-            inst.dead = true;
+            prog.kill(inst);
             ++folded;
         } else if (inst.op == IrOp::Mul && inst.a >= 0) {
             // Mul(imm c2) of Mul(imm c1) with a single consumer chain:

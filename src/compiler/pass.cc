@@ -141,11 +141,19 @@ MachineProgram
 Compiler::runBackEnd(const IrProgram &prog, AnalysisManager &analyses,
                      StatSet &stats) const
 {
+    using Clock = std::chrono::steady_clock;
+    using Ms = std::chrono::duration<double, std::milli>;
+    const Clock::time_point t0 = Clock::now();
     auto order = runScheduler(prog, analyses, opts_, stats);
+    const Clock::time_point t1 = Clock::now();
     auto streaming = runStreaming(prog, order, opts_.streaming,
                                   opts_.fifoDepth, stats);
+    const Clock::time_point t2 = Clock::now();
     MachineProgram mp =
         runRegAllocAndCodegen(prog, order, streaming, opts_, stats);
+    stats.set("backend.sched.ms", Ms(t1 - t0).count());
+    stats.set("backend.stream.ms", Ms(t2 - t1).count());
+    stats.set("backend.regalloc.ms", Ms(Clock::now() - t2).count());
     stats.set("machine.instructions", double(mp.insts.size()));
     // Post-backend checkpoint: the machine program handed to the
     // scheduler-graph builder and the simulator is well-formed (register

@@ -244,6 +244,9 @@ class Compiler
      * and machine-code emission over the (already optimized) program.
      * This is the `HardwareConfig`-dependent half (`sramBytes`,
      * `issueWindow`, `fifoDepth`, the schedule/streaming switches).
+     * Records each phase's wall time as `backend.sched.ms`,
+     * `backend.stream.ms` and `backend.regalloc.ms` (regalloc includes
+     * emission).
      */
     MachineProgram runBackEnd(const IrProgram &prog,
                               AnalysisManager &analyses,

@@ -463,13 +463,36 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                      spill_addr, obj_base,  residue_bytes,
                      alloc_regs, num_scratch};
 
-    // One append loop in schedule order; a heuristic reserve avoids the
-    // worst reallocation churn.
-    mp.insts.reserve(order.size() + order.size() / 4);
+    // One append loop in schedule order into a vector reserved to the
+    // exact size emitOne will produce, so emission never regrows: a
+    // Load emits nothing when streamed or rematerialized; everything
+    // else emits itself, a reload per spilled operand it reads from a
+    // register, and a spill store when its own value is spilled.
+    size_t emit_count = 0;
+    for (int idx : order) {
+        const size_t i = static_cast<size_t>(idx);
+        const IrInst &inst = prog.insts[i];
+        if (inst.op == IrOp::Load) {
+            emit_count += !streaming.streamedLoad[i] && !remat[i];
+            continue;
+        }
+        emit_count += 1 + (spilled[i] && !remat[i]);
+        if (inst.a >= 0 &&
+            !(inst.op == IrOp::Store && streaming.streamedStore[i]))
+            emit_count += spilled[inst.a];
+        if (!inst.useImm && inst.b >= 0)
+            emit_count += spilled[inst.b];
+        if (inst.op == IrOp::Mac && inst.c >= 0)
+            emit_count += spilled[inst.c];
+    }
+    mp.insts.reserve(emit_count);
     AppendSink sink{mp.insts};
     u64 scratch_calls = 0;
     for (int idx : order)
         emitOne(cx, idx, sink, scratch_calls);
+    EFFACT_ASSERT(mp.insts.size() == emit_count,
+                  "emitted %zu machine instructions, reserved %zu",
+                  mp.insts.size(), emit_count);
     mp.spillLoads = sink.spillLoads;
     mp.spillStores = sink.spillStores;
 

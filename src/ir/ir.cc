@@ -18,23 +18,15 @@ int
 IrProgram::emit(IrInst inst)
 {
     insts.push_back(inst);
+    dead_ += inst.dead ? 1 : 0;
     bumpVersion();
     return static_cast<int>(insts.size()) - 1;
-}
-
-size_t
-IrProgram::liveCount() const
-{
-    size_t n = 0;
-    for (const auto &inst : insts)
-        n += inst.dead ? 0 : 1;
-    return n;
 }
 
 void
 IrProgram::compact()
 {
-    if (liveCount() == insts.size())
+    if (dead_ == 0)
         return; // nothing dead: ids (and cached analyses) stay valid
     std::vector<int> remap(insts.size(), -1);
     std::vector<IrInst> kept;
@@ -56,6 +48,7 @@ IrProgram::compact()
         }
     }
     insts = std::move(kept);
+    dead_ = 0;
     bumpVersion();
 }
 

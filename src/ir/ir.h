@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -74,7 +75,7 @@ struct IrInst
     uint32_t modulus = 0; ///< limb prime index
     IrTag tag = IrTag::Normal;
     MemRef mem;         ///< Load/Store location
-    bool dead = false;  ///< marked by passes instead of O(n) erases
+    bool dead = false;  ///< set by `IrProgram::kill` instead of O(n) erases
 
     /** The operand slots (a, b, c) for uniform traversal/rewriting: a
      *  pass that resolves or counts operands must cover all three (a
@@ -98,8 +99,24 @@ struct IrProgram
     /** Appends an instruction; returns its value id. */
     int emit(IrInst inst);
 
+    /**
+     * Retires `inst` (an element of `insts`): marks it dead and counts
+     * it, so `liveCount()` stays O(1). Passes retire instructions only
+     * through here, never by writing `inst.dead` directly; retiring an
+     * already-dead instruction is a no-op.
+     */
+    void kill(IrInst &inst)
+    {
+        if (!std::exchange(inst.dead, true))
+            ++dead_;
+    }
+
     /** Number of live (non-dead) instructions. */
-    size_t liveCount() const;
+    size_t liveCount() const { return insts.size() - dead_; }
+
+    /** Number of dead instructions `emit`/`kill` have counted (the
+     *  verifier's `ir.live-count` rule checks it against a scan). */
+    size_t deadCount() const { return dead_; }
 
     /** Compacts dead instructions and renumbers value ids. */
     void compact();
@@ -153,6 +170,7 @@ struct IrProgram
 
     UniqueId uid_;
     uint64_t version_ = 0;
+    size_t dead_ = 0;
 };
 
 /** Name used in the Fig. 3 histogram for an instruction. */

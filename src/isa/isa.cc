@@ -1,21 +1,42 @@
 #include "isa/isa.h"
 
+#include <array>
 #include <sstream>
 
 #include "common/logging.h"
 
 namespace effact {
 
+namespace {
+
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+/** kFnvPrimePow[k] = kFnvPrime^k mod 2^64, k = 0..8. */
+constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+    std::array<uint64_t, 9> pow{};
+    pow[0] = 1;
+    for (size_t k = 1; k < pow.size(); ++k)
+        pow[k] = pow[k - 1] * kFnvPrime;
+    return pow;
+}();
+
+} // namespace
+
 uint64_t
 fingerprint(const MachineProgram &prog)
 {
     uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
     auto mix = [&h](u64 v) {
-        // Hash the value bytewise so field boundaries stay distinct.
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 1099511628211ULL;
+        // Bytewise FNV-1a over all 8 bytes, low byte first, so field
+        // boundaries stay distinct. XOR with a zero byte is the
+        // identity, so the value's high zero bytes fold into one
+        // multiply by a power of the prime.
+        const int bytes = v == 0 ? 0 : 8 - __builtin_clzll(v) / 8;
+        for (int byte = 0; byte < bytes; ++byte, v >>= 8) {
+            h ^= v & 0xff;
+            h *= kFnvPrime;
         }
+        h *= kFnvPrimePow[8 - bytes];
     };
     mix(prog.insts.size());
     mix(prog.numRegs);

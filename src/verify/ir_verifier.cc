@@ -127,10 +127,13 @@ verifyIr(const IrProgram &prog)
     rep.checksRun += 2 + prog.objects.size();
 
     const int n = static_cast<int>(prog.insts.size());
+    size_t dead = 0;
     for (int i = 0; i < n; ++i) {
         const IrInst &inst = prog.insts[i];
-        if (inst.dead)
-            continue; // stale operands on dead values are expected
+        if (inst.dead) {
+            ++dead; // stale operands on dead values are expected
+            continue;
+        }
         const IrShape shape = shapeOf(inst.op);
         const std::string who = display(inst);
         rep.checksRun += 9;
@@ -241,6 +244,15 @@ verifyIr(const IrProgram &prog)
                            ") in " + who);
         }
     }
+
+    // The O(1) `liveCount()` trusts the counter `emit`/`kill` keep; a
+    // direct `inst.dead` write bypasses it.
+    ++rep.checksRun;
+    if (dead != prog.deadCount())
+        report(rep, "ir.live-count", -1,
+               "dead counter says " + std::to_string(prog.deadCount()) +
+                   " dead instructions, a scan finds " +
+                   std::to_string(dead));
     return rep;
 }
 

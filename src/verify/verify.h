@@ -35,6 +35,9 @@
  *   - ir.auto.elt           live immediate-form Auto carries a Galois
  *                           element outside [1, 2N) — the range the
  *                           rotalg pass composes/canonicalizes within
+ *   - ir.live-count         `IrProgram`'s dead counter disagrees with a
+ *                           scan (an `inst.dead` write that bypassed
+ *                           `IrProgram::kill`)
  *
  *  Machine (verifyMachine):
  *   - mach.program.meta     residueBytes/numRegs metadata malformed

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +85,92 @@ TEST(IrFingerprint, IgnoresDisplayOnlyNames)
     if (!b.program.objects.empty())
         b.program.objects.front().name = "renamed-object";
     EXPECT_EQ(fingerprint(a.program), fingerprint(b.program));
+}
+
+// --- MachineProgram fingerprint -------------------------------------------
+
+/** The reference definition: FNV-1a over all 8 bytes of every field,
+ *  low byte first. */
+uint64_t
+bytewiseFnv1a(const MachineProgram &prog)
+{
+    uint64_t h = 14695981039346656037ULL;
+    auto mix = [&h](u64 v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (byte * 8)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    };
+    mix(prog.insts.size());
+    mix(prog.numRegs);
+    mix(prog.residueBytes);
+    mix(prog.spillLoads);
+    mix(prog.spillStores);
+    mix(prog.streamedOps);
+    for (const MachInst &mi : prog.insts) {
+        mix(static_cast<u64>(mi.op));
+        for (const Operand *o : {&mi.dest, &mi.src0, &mi.src1, &mi.src2}) {
+            mix(static_cast<u64>(o->kind));
+            mix(static_cast<u64>(static_cast<int64_t>(o->reg)));
+            mix(o->value);
+            mix(o->dram ? 1 : 0);
+        }
+        mix(mi.modulus);
+        mix(mi.imm);
+        mix(mi.hbmAddr);
+        mix(static_cast<u64>(static_cast<int64_t>(mi.irId)));
+    }
+    return h;
+}
+
+TEST(MachineFingerprint, MatchesBytewiseFnv1a)
+{
+    std::mt19937_64 rng(1404);
+    // Values of every byte length, with zero bytes inside and on top.
+    auto value = [&rng]() -> u64 {
+        switch (rng() % 6) {
+          case 0: return 0;
+          case 1: return ~0ull;
+          case 2: return rng() % 256;
+          case 3: return rng() >> (rng() % 64);
+          case 4: return u64(rng() % 256) << (8 * (rng() % 8));
+          default: return rng() & 0xff00ff0000ff00ffULL;
+        }
+    };
+    auto operand = [&]() {
+        Operand o;
+        switch (rng() % 4) {
+          case 0: break; // all-zero operand: None, reg -1
+          case 1: o = Operand::regOp(static_cast<int>(rng() % 300)); break;
+          case 2: o = Operand::stream(value(), rng() % 2 == 0); break;
+          default: o = Operand::imm(value()); break;
+        }
+        return o;
+    };
+    for (int trial = 0; trial < 50; ++trial) {
+        MachineProgram mp;
+        mp.numRegs = value();
+        mp.residueBytes = size_t(1) << (rng() % 20);
+        mp.spillLoads = value();
+        mp.spillStores = value();
+        mp.streamedOps = value();
+        const size_t n = rng() % 200;
+        for (size_t i = 0; i < n; ++i) {
+            MachInst mi;
+            mi.op = static_cast<Opcode>(rng() % 10);
+            mi.dest = operand();
+            mi.src0 = operand();
+            mi.src1 = operand();
+            mi.src2 = operand();
+            mi.modulus = static_cast<uint32_t>(value());
+            mi.imm = value();
+            mi.hbmAddr = (rng() % 4096) * mp.residueBytes; // multi-byte
+            mi.irId = rng() % 8 == 0 ? -1 : static_cast<int>(rng() % 100000);
+            mp.insts.push_back(mi);
+        }
+        ASSERT_EQ(fingerprint(mp), bytewiseFnv1a(mp)) << "trial " << trial;
+    }
+    EXPECT_EQ(fingerprint(MachineProgram{}), bytewiseFnv1a(MachineProgram{}));
 }
 
 // --- Preset hash ----------------------------------------------------------

@@ -7,6 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "compiler/pass.h"
 #include "compiler/pass_manager.h"
 #include "ir/workloads.h"
@@ -144,6 +151,213 @@ TEST(Pre, DoesNotMergeMutableLoads)
     StatSet stats;
     runPre(prog, stats);
     EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), 0);
+}
+
+/** Value-numbering oracle for `runPre`: a `std::map` keyed by the
+ *  operation, its forwarded operands (commutative pairs sorted), the
+ *  immediate, the limb and, for read-only loads, the residue slot; then
+ *  DCE run to a fixed point. */
+struct RefPre
+{
+    std::vector<IrInst> insts;
+    double cse = 0;
+    double reload = 0;
+    double dce = 0;
+};
+
+RefPre
+referencePre(const IrProgram &prog)
+{
+    RefPre ref;
+    ref.insts = prog.insts;
+    std::vector<IrInst> &insts = ref.insts;
+    const size_t n = insts.size();
+    std::vector<int> fwd(n);
+    for (size_t i = 0; i < n; ++i)
+        fwd[i] = static_cast<int>(i);
+    using Key = std::tuple<IrOp, int, int, int, u64, bool, uint32_t, int, int>;
+    std::map<Key, int> first;
+    for (size_t i = 0; i < n; ++i) {
+        IrInst &inst = insts[i];
+        if (inst.dead)
+            continue;
+        for (int *slot : inst.operandSlots())
+            while (*slot >= 0 && fwd[*slot] != *slot)
+                *slot = fwd[*slot];
+        Key key;
+        if (inst.op == IrOp::Load) {
+            if (inst.mem.object < 0 || !prog.objects[inst.mem.object].readOnly)
+                continue;
+            key = Key{inst.op, -1, -1, -1, inst.useImm ? inst.imm : 0,
+                      inst.useImm, inst.modulus, inst.mem.object,
+                      inst.mem.index};
+        } else if (inst.op == IrOp::Store || inst.op == IrOp::Copy) {
+            continue;
+        } else {
+            int a = inst.a, b = inst.b;
+            if ((inst.op == IrOp::Add || inst.op == IrOp::Mul) &&
+                !inst.useImm && b < a)
+                std::swap(a, b);
+            const u64 imm =
+                inst.op == IrOp::Auto || inst.useImm ? inst.imm : 0;
+            key = Key{inst.op, a, b, inst.c, imm, inst.useImm,
+                      inst.modulus, -1, 0};
+        }
+        const auto [it, inserted] = first.emplace(key, static_cast<int>(i));
+        if (inserted)
+            continue;
+        fwd[i] = it->second;
+        inst.dead = true;
+        ++(inst.op == IrOp::Load ? ref.reload : ref.cse);
+    }
+    for (bool changed = true; changed;) {
+        changed = false;
+        std::vector<int> uses(n, 0);
+        for (const IrInst &inst : insts)
+            if (!inst.dead)
+                for (int v : inst.operands())
+                    if (v >= 0)
+                        ++uses[v];
+        for (size_t i = 0; i < n; ++i) {
+            if (!insts[i].dead && insts[i].op != IrOp::Store && uses[i] == 0) {
+                insts[i].dead = true;
+                ++ref.dce;
+                changed = true;
+            }
+        }
+    }
+    return ref;
+}
+
+/** Runs `runPre` and the oracle on `prog` and compares the dead set,
+ *  every instruction's operands and the three `pre.*` stats. */
+void
+expectPreMatchesReference(IrProgram prog, const std::string &what)
+{
+    const RefPre ref = referencePre(prog);
+    StatSet stats;
+    runPre(prog, stats);
+    ASSERT_EQ(prog.insts.size(), ref.insts.size()) << what;
+    for (size_t i = 0; i < ref.insts.size(); ++i) {
+        const IrInst &got = prog.insts[i];
+        const IrInst &want = ref.insts[i];
+        ASSERT_EQ(got.dead, want.dead) << what << " v" << i;
+        ASSERT_EQ(got.operands(), want.operands()) << what << " v" << i;
+    }
+    EXPECT_EQ(stats.get("pre.cseRemoved"), ref.cse) << what;
+    EXPECT_EQ(stats.get("pre.readOnlyReloadsRemoved"), ref.reload) << what;
+    EXPECT_EQ(stats.get("pre.deadCodeRemoved"), ref.dce) << what;
+    EXPECT_EQ(prog.liveCount(),
+              size_t(std::count_if(ref.insts.begin(), ref.insts.end(),
+                                   [](const IrInst &x) { return !x.dead; })))
+        << what;
+}
+
+TEST(Pre, FlatTableMatchesReferenceVn)
+{
+    std::mt19937 rng(4242);
+    IrProgram prog;
+    prog.degree = 1 << 10;
+    const int key = prog.addObject("key", 8, true);
+    const int buf = prog.addObject("buf", 8, false);
+    const int out = prog.addObject("out", 4096, false);
+    std::vector<int> values; // value-producing ids so far
+    // Operands come from a small recent window, so the same operation
+    // on the same values recurs often.
+    auto pick = [&] {
+        const size_t w = std::min<size_t>(values.size(), 6);
+        return values[values.size() - 1 - rng() % w];
+    };
+    auto emit = [&](IrInst inst) {
+        const int v = prog.emit(inst);
+        if (inst.op != IrOp::Store)
+            values.push_back(v);
+    };
+    auto load = [&](int obj) {
+        IrInst inst;
+        inst.op = IrOp::Load;
+        inst.mem = MemRef{obj, static_cast<int>(rng() % 3)};
+        inst.modulus = rng() % 2;
+        emit(inst);
+    };
+    load(key);
+    load(buf);
+    int stores = 0;
+    for (int step = 0; step < 4000; ++step) {
+        IrInst inst;
+        inst.modulus = rng() % 2;
+        switch (rng() % 10) {
+          case 0: load(key); continue; // read-only: merges
+          case 1: load(buf); continue; // mutable: never merges
+          case 2:
+          case 3:
+            inst.op = rng() % 2 ? IrOp::Add : IrOp::Mul;
+            inst.a = pick();
+            if (inst.op == IrOp::Mul && rng() % 3 == 0) {
+                inst.useImm = true;
+                inst.imm = 1 + rng() % 3;
+            } else {
+                inst.b = pick();
+            }
+            break;
+          case 4:
+            inst.op = IrOp::Sub;
+            inst.a = pick();
+            inst.b = pick();
+            break;
+          case 5:
+            inst.op = IrOp::Mac;
+            inst.a = pick();
+            inst.b = pick();
+            inst.c = pick();
+            break;
+          case 6:
+            inst.op = rng() % 2 ? IrOp::Ntt : IrOp::Intt;
+            inst.a = pick();
+            break;
+          case 7:
+            inst.op = IrOp::Auto;
+            inst.a = pick();
+            inst.useImm = true;
+            inst.imm = rng() % 2 ? 5 : 25;
+            break;
+          case 8:
+            inst.op = IrOp::Copy;
+            inst.a = pick();
+            break;
+          default:
+            inst.op = IrOp::Store;
+            inst.a = pick();
+            inst.mem = MemRef{out, stores++};
+            break;
+        }
+        emit(inst);
+    }
+    expectPreMatchesReference(prog, "mixed program");
+
+    // Eight pure instructions size the table to its 16-slot minimum and
+    // fill half of it; over many seeds some probe runs wrap past the
+    // last slot.
+    for (int seed = 0; seed < 200; ++seed) {
+        IrProgram tiny;
+        tiny.degree = 1 << 10;
+        const int k = tiny.addObject("key", 4, true);
+        for (int i = 0; i < 8; ++i) {
+            IrInst inst;
+            inst.modulus = rng() % 2;
+            if (i < 4 || rng() % 2) {
+                inst.op = IrOp::Load;
+                inst.mem = MemRef{k, static_cast<int>(rng() % 4)};
+            } else {
+                inst.op = IrOp::Ntt;
+                inst.a = static_cast<int>(rng() % i);
+                if (tiny.insts[inst.a].op != IrOp::Load)
+                    inst.a = 0;
+            }
+            tiny.emit(inst);
+        }
+        expectPreMatchesReference(tiny, "tiny seed " + std::to_string(seed));
+    }
 }
 
 TEST(Peephole, FusesMulAddIntoMac)

@@ -235,8 +235,8 @@ TEST(DepGraphIr, DeadInstructionsAreIsolated)
     PolyVal a = b.load(in, 0, 1);
     PolyVal m = b.mulImm(a, 3);
     b.store(out, 0, m);
-    prog.insts[m.limbs[0]].dead = true;
-    prog.insts[2].dead = true; // the store
+    prog.kill(prog.insts[m.limbs[0]]);
+    prog.kill(prog.insts[2]); // the store
 
     DepGraph g = DepGraph::fromIr(prog, {});
     EXPECT_EQ(g.edgeCount(), 0u);

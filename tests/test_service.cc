@@ -389,6 +389,24 @@ TEST(Protocol, CanonicalResultStripsNondeterminism)
     EXPECT_NE(canonicalResultBytes(a), canonicalResultBytes(b));
 }
 
+TEST(Protocol, CanonicalResultStripsBackendPhaseTimings)
+{
+    ServiceCore core;
+    core.submit(smallRequest("phases", 32));
+    const std::vector<ServiceResult> results = core.flush();
+    ASSERT_EQ(results.size(), 1u);
+    const ServiceResult &res = results.front();
+    ASSERT_EQ(res.status, ServiceStatus::Ok) << res.error;
+    const ServiceResult canon = canonicalResult(res);
+    for (const char *key :
+         {"compile.backend.sched.ms", "compile.backend.stream.ms",
+          "compile.backend.regalloc.ms"}) {
+        EXPECT_EQ(res.stats.all().count(key), 1u) << key;
+        EXPECT_GE(res.stats.get(key), 0.0) << key;
+        EXPECT_EQ(canon.stats.all().count(key), 0u) << key;
+    }
+}
+
 // --- ServiceCore: validation, admission, batching --------------------------
 
 TEST(ServiceCore, BadRequestsAreReportedNotExecuted)

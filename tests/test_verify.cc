@@ -134,7 +134,7 @@ TEST(IrVerifier, OperandOrder)
 TEST(IrVerifier, OperandDead)
 {
     IrProgram prog = tinyProgram();
-    prog.insts[1].dead = true; // kill load b; the Mul still reads it
+    prog.kill(prog.insts[1]); // kill load b; the Mul still reads it
     expectOnly(verifyIr(prog), "ir.operand.dead");
 }
 
@@ -245,10 +245,28 @@ TEST(IrVerifier, DeadInstructionsKeepStaleOperandsSilently)
     // Passes mark values dead in place and leave stale operands behind;
     // the verifier must not flag them.
     IrProgram prog = tinyProgram();
-    prog.insts[3].dead = true;
+    prog.kill(prog.insts[3]);
     prog.insts[3].a = 500;     // garbage on a dead value: fine
-    prog.insts[4].dead = true; // the store of it too
+    prog.kill(prog.insts[4]); // the store of it too
     EXPECT_TRUE(verifyIr(prog).ok());
+}
+
+TEST(IrVerifier, LiveCount)
+{
+    IrProgram prog = tinyProgram();
+    prog.kill(prog.insts[4]);
+    prog.kill(prog.insts[4]); // retiring twice counts once
+    IrInst born_dead;
+    born_dead.dead = true;
+    prog.emit(born_dead); // emit counts an instruction that arrives dead
+    EXPECT_EQ(prog.liveCount(), 4u);
+    EXPECT_TRUE(verifyIr(prog).ok()) << verifyIr(prog).toString();
+
+    // A direct write bypasses the counter: the unused Add dies without
+    // `kill`, so nothing but the count is wrong.
+    prog.insts[3].dead = true;
+    expectOnly(verifyIr(prog), "ir.live-count");
+    EXPECT_EQ(prog.liveCount(), 4u); // stale, which is what the rule catches
 }
 
 // --- Machine rules --------------------------------------------------------
@@ -678,7 +696,7 @@ TEST(CorruptionFuzz, EveryInjectedIrDefectIsCaught)
           }
           case 3: { // live user of a dead value
             int i = pick([](const IrInst &x) { return x.a >= 0; });
-            prog.insts[prog.insts[i].a].dead = true;
+            prog.kill(prog.insts[prog.insts[i].a]);
             break;
           }
           case 4: { // memory reference outside the object table
