@@ -12,8 +12,9 @@
  *
  * - Latency trajectory (soft): the min and median end-to-end wall over
  *   the repetitions, plus the median middle-end / back-end / simulate
- *   split, the median `pre` pass and back-end phase (schedule, stream,
- *   regalloc) walls, and every repetition's numbers, go to
+ *   split, the median `pre` pass, back-end phase (schedule, stream,
+ *   regalloc) and machine-code fingerprint walls, and every
+ *   repetition's numbers, go to
  *   `BENCH_compile_latency.json` for `bench/check_regression.py` to
  *   gate against `bench/baseline_latency.json` (deterministic fields
  *   exactly, `serial_wall_ms` within EFFACT_PERF_THRESHOLD; the
@@ -45,6 +46,7 @@ struct LatencyRun
     double schedMs = 0;
     double streamMs = 0;
     double regallocMs = 0;
+    double fingerprintMs = 0;
     double cycles = 0;
     u64 fingerprint = 0;
     size_t instructions = 0;
@@ -73,6 +75,7 @@ measureOnce()
     run.middleMs = r.platform.jobStats.get("job.middle.ms");
     run.backendMs = r.platform.jobStats.get("job.backend.ms");
     run.simMs = r.platform.jobStats.get("job.sim.ms");
+    run.fingerprintMs = r.platform.jobStats.get("job.fingerprint.ms");
     const StatSet &cs = r.platform.compilerStats;
     run.preMs = cs.get("pass.pre.ms");
     run.schedMs = cs.get("backend.sched.ms");
@@ -154,6 +157,8 @@ emit(const char *path)
                  median(runs, &LatencyRun::streamMs));
     std::fprintf(f, "    \"backend_regalloc_ms\": %.3f,\n",
                  median(runs, &LatencyRun::regallocMs));
+    std::fprintf(f, "    \"fingerprint_ms\": %.3f,\n",
+                 median(runs, &LatencyRun::fingerprintMs));
     std::fprintf(f, "    \"runs\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
         const LatencyRun &run = runs[i];

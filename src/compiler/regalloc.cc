@@ -3,7 +3,7 @@
 #include "common/logging.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
 
 namespace effact {
 
@@ -241,7 +241,7 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     size_t spill_count = 0;
 
     // Priority policy (`CompilerOptions::regalloc == "priority"`):
-    // sorted use-position lists per value, so a spill decision can score
+    // ascending use positions per value, so a spill decision can score
     // every candidate against the spill-dominated cycle model. A
     // spilled value never regains a register — emission reloads it at
     // EVERY remaining use and writes its slot once at the def — so the
@@ -264,19 +264,31 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
     // (workload, SRAM) point.
     const bool priority_alloc = opts.regalloc == "priority";
     constexpr long long kStoreCost = 1;
-    std::vector<std::vector<int>> use_pos;
+    // Use positions as one CSR array: value v's uses are
+    // use_flat[use_off[v] .. use_off[v + 1]). Filled in schedule order,
+    // so every slice is already ascending.
+    std::vector<uint32_t> use_off;
+    std::vector<int> use_flat;
     if (priority_alloc) {
-        use_pos.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            const IrInst &inst = prog.insts[i];
-            if (inst.dead)
-                continue;
-            for (int operand : {inst.a, inst.b, inst.c})
-                if (operand >= 0 && pos[i] >= 0)
-                    use_pos[operand].push_back(pos[i]);
-        }
-        for (std::vector<int> &u : use_pos)
-            std::sort(u.begin(), u.end());
+        // Calls visit(value, position) for every use in schedule order.
+        auto forEachUse = [&](auto &&visit) {
+            for (int idx : order) {
+                const IrInst &inst = prog.insts[static_cast<size_t>(idx)];
+                if (inst.dead)
+                    continue;
+                for (int operand : {inst.a, inst.b, inst.c})
+                    if (operand >= 0)
+                        visit(static_cast<size_t>(operand),
+                              pos[static_cast<size_t>(idx)]);
+            }
+        };
+        use_off.assign(n + 1, 0);
+        forEachUse([&](size_t v, int) { ++use_off[v + 1]; });
+        for (size_t v = 0; v < n; ++v)
+            use_off[v + 1] += use_off[v];
+        use_flat.resize(use_off[n]);
+        std::vector<uint32_t> fill(use_off.begin(), use_off.end() - 1);
+        forEachUse([&](size_t v, int p) { use_flat[fill[v]++] = p; });
     }
 
     auto linearScan = [&](size_t alloc_regs) {
@@ -286,12 +298,31 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
         std::vector<int> free_regs;
         for (size_t r = 0; r < alloc_regs; ++r)
             free_regs.push_back(static_cast<int>(r));
-        // Active intervals ordered by end position.
-        std::set<std::pair<int, int>> active; // (end, value)
+        // Active intervals sorted by descending (end, value): the next
+        // to expire is back(), the one ending furthest away is front().
+        // At most alloc_regs entries.
+        using Interval = std::pair<int, int>; // (end, value)
+        std::vector<Interval> active;
+        active.reserve(alloc_regs);
+        auto insertActive = [&active](Interval iv) {
+            active.insert(std::lower_bound(active.begin(), active.end(), iv,
+                                           std::greater<Interval>()),
+                          iv);
+        };
+        // Per-value cursor into its use slice: the first use at or
+        // after the scan position. Scan positions only grow, so a
+        // cursor only ever moves forward.
+        std::vector<uint32_t> use_cur;
+        if (priority_alloc)
+            use_cur.assign(use_off.begin(), use_off.end() - 1);
 
+        // Uses of v at or after position s.
         auto reloadsDue = [&](int v, int s) -> long long {
-            const std::vector<int> &u = use_pos[static_cast<size_t>(v)];
-            return u.end() - std::lower_bound(u.begin(), u.end(), s);
+            const size_t vi = static_cast<size_t>(v);
+            uint32_t &cur = use_cur[vi];
+            while (cur < use_off[vi + 1] && use_flat[cur] < s)
+                ++cur;
+            return use_off[vi + 1] - cur;
         };
         for (int idx : order) {
             const size_t i = static_cast<size_t>(idx);
@@ -300,24 +331,23 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
             const int start = pos[i];
             const int end = last_use[i];
             // Expire finished intervals.
-            while (!active.empty() && active.begin()->first < start) {
-                free_regs.push_back(assigned[active.begin()->second]);
-                active.erase(active.begin());
+            while (!active.empty() && active.back().first < start) {
+                free_regs.push_back(assigned[active.back().second]);
+                active.pop_back();
             }
             if (!free_regs.empty()) {
                 assigned[i] = free_regs.back();
                 free_regs.pop_back();
-                active.emplace(end, static_cast<int>(i));
+                insertActive({end, idx});
             } else if (!priority_alloc) {
                 // Legacy: spill the interval that ends furthest away.
-                auto furthest = std::prev(active.end());
-                if (furthest->first > end) {
-                    int victim = furthest->second;
+                if (active.front().first > end) {
+                    int victim = active.front().second;
                     assigned[i] = assigned[victim];
                     spilled[victim] = 1;
                     assigned[victim] = -1;
-                    active.erase(furthest);
-                    active.emplace(end, static_cast<int>(i));
+                    active.erase(active.begin());
+                    insertActive({end, idx});
                 } else {
                     spilled[i] = 1;
                 }
@@ -330,14 +360,16 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                 // this position — cost/0 = infinity keeps it resident,
                 // and it frees its register on its own next tick
                 // anyway). Ties prefer the larger end distance, then
-                // the smaller value id: fully deterministic.
+                // the smaller value id: a strict total order, so the
+                // winner does not depend on the scan order of `active`.
                 long long best_r = reloadsDue(idx, start);
                 long long best_d = end - start;
                 int best_v = idx;
-                for (const std::pair<int, int> &entry : active) {
-                    const int v = entry.second;
+                size_t best_k = active.size();
+                for (size_t k = 0; k < active.size(); ++k) {
+                    const int v = active[k].second;
                     const long long r = reloadsDue(v, start);
-                    const long long d = entry.first - start;
+                    const long long d = active[k].first - start;
                     const long long lhs = (r + kStoreCost) * best_d;
                     const long long rhs = (best_r + kStoreCost) * d;
                     if (lhs < rhs ||
@@ -346,14 +378,16 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
                         best_r = r;
                         best_d = d;
                         best_v = v;
+                        best_k = k;
                     }
                 }
                 if (best_v != idx) {
                     assigned[i] = assigned[best_v];
                     spilled[best_v] = 1;
                     assigned[best_v] = -1;
-                    active.erase({last_use[best_v], best_v});
-                    active.emplace(end, static_cast<int>(i));
+                    active.erase(active.begin() +
+                                 static_cast<std::ptrdiff_t>(best_k));
+                    insertActive({end, idx});
                 } else {
                     spilled[i] = 1;
                 }
@@ -419,7 +453,6 @@ runRegAllocAndCodegen(const IrProgram &prog, const std::vector<int> &order,
         }
     }
     const size_t alloc_regs = num_regs - num_scratch;
-    stats.add("regalloc.spilledValues", double(spill_count));
 
     // HBM address map: program objects first, then the spill area.
     std::vector<u64> obj_base(prog.objects.size(), 0);

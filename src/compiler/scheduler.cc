@@ -78,9 +78,6 @@ runScheduler(const IrProgram &prog, AnalysisManager &analyses,
 {
     const bool enabled = opts.schedule;
     const size_t n = prog.insts.size();
-    // liveCount() walks every instruction; hoist it out of the scheduling
-    // loop below or the pass goes quadratic on large programs (the 80k-inst
-    // reduced bootstrapping took >10 s from this alone).
     const size_t live_count = prog.liveCount();
     std::vector<int> order;
     order.reserve(live_count);

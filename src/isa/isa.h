@@ -128,6 +128,15 @@ struct MachineProgram
  */
 uint64_t fingerprint(const MachineProgram &prog);
 
+/**
+ * The fingerprint's two constant-run shortcuts, exposed so tests can
+ * check them against bytewise FNV-1a: the state after hashing, from
+ * state `h`, a whole None operand (kind 0, reg -1, value 0, dram 0) or
+ * one field equal to -1.
+ */
+uint64_t fingerprintNoneOperand(uint64_t h);
+uint64_t fingerprintMinusOne(uint64_t h);
+
 /** Mnemonic for an opcode. */
 const char *opcodeName(Opcode op);
 

@@ -6,6 +6,13 @@
 
 namespace effact {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+using Ms = std::chrono::duration<double, std::milli>;
+
+} // namespace
+
 Platform::Platform(HardwareConfig hw, CompilerOptions copts)
     : hw_(std::move(hw)), copts_(copts)
 {
@@ -32,9 +39,6 @@ PlatformResult
 Platform::run(Workload &workload, AnalysisManager &analyses,
               CompileCache *cache) const
 {
-    using Clock = std::chrono::steady_clock;
-    using Ms = std::chrono::duration<double, std::milli>;
-
     Compiler compiler = makeCompiler();
     const Clock::time_point t0 = Clock::now();
     compiler.compileMiddle(workload.program, analyses, cache);
@@ -70,7 +74,9 @@ Platform::assemble(const Compiler &compiler, const MachineProgram &mp,
     result.amortizedUs =
         result.benchTimeMs * 1e3 / workload.amortizeFactor;
     result.dramGb = result.sim.dramBytes * workload.repeat / 1e9;
+    const Clock::time_point t0 = Clock::now();
     result.machineFingerprint = fingerprint(mp);
+    result.jobStats.set("job.fingerprint.ms", Ms(Clock::now() - t0).count());
     return result;
 }
 

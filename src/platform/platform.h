@@ -24,11 +24,11 @@ struct PlatformResult
     StatSet compilerStats;
     /**
      * Per-stage wall-clock of this job (`job.middle.ms`,
-     * `job.backend.ms`, `job.sim.ms`; the batch driver adds
-     * `job.ir.ms` for workload construction). Host timings, not
-     * simulated ones — the one result family that is *not*
-     * deterministic; `SweepEngine` aggregates it so perf lanes can see
-     * where a job's latency goes.
+     * `job.backend.ms`, `job.sim.ms`, and `job.fingerprint.ms` from
+     * `assemble`; the batch engine adds `job.ir.ms` for workload
+     * construction). Host timings, not simulated ones — the one
+     * result family that is *not* deterministic; `SweepEngine`
+     * aggregates it so perf lanes can see where a job's latency goes.
      */
     StatSet jobStats;
     double benchTimeMs = 0;   ///< program time x workload repeat factor

@@ -14,31 +14,27 @@ DepGraph::addEdge(int from, int to, DepKind kind)
                       static_cast<size_t>(to) < n_ && !finalized_,
                   "bad dependence edge %d -> %d", from, to);
     raw_.push_back({from, to, kind});
+    ++soff_[static_cast<size_t>(from)];
+    ++indeg_[static_cast<size_t>(to)];
 }
 
 void
 DepGraph::finalize()
 {
     EFFACT_ASSERT(!finalized_, "graph already finalized");
-    soff_.assign(n_ + 1, 0);
-    poff_.assign(n_ + 1, 0);
-    for (const Edge &e : raw_) {
-        ++soff_[static_cast<size_t>(e.from) + 1];
-        ++poff_[static_cast<size_t>(e.to) + 1];
-    }
-    for (size_t i = 0; i < n_; ++i) {
-        soff_[i + 1] += soff_[i];
-        poff_[i + 1] += poff_[i];
-    }
+    soff_.resize(n_ + 1, 0);
+    // Inclusive prefix sums of the out-degrees make soff_[i] the end of
+    // node i's slice; filling from the last appended edge backwards
+    // moves it to the slice start and keeps per-node append order.
+    for (size_t i = 1; i < n_; ++i)
+        soff_[i] += soff_[i - 1];
+    soff_[n_] = static_cast<uint32_t>(raw_.size());
     sedge_.resize(raw_.size());
-    pedge_.resize(raw_.size());
-    // Stable fill: per-node edge order is append order.
-    std::vector<uint32_t> scur(soff_.begin(), soff_.end() - 1);
-    std::vector<uint32_t> pcur(poff_.begin(), poff_.end() - 1);
-    for (const Edge &e : raw_) {
-        sedge_[scur[static_cast<size_t>(e.from)]++] = {e.to, e.kind};
-        pedge_[pcur[static_cast<size_t>(e.to)]++] = {e.from, e.kind};
+    for (size_t k = raw_.size(); k-- > 0;) {
+        const Edge &e = raw_[k];
+        sedge_[--soff_[static_cast<size_t>(e.from)]] = {e.to, e.kind};
     }
+    std::vector<Edge>().swap(raw_);
     finalized_ = true;
 }
 
@@ -69,69 +65,61 @@ DepGraph::fromMachine(const MachineProgram &prog)
     DepGraph g(n);
     g.raw_.reserve(n * 2);
 
-    // Dense producer maps: register ids are small consecutive ints from
-    // the allocator and FIFO tokens are IR value ids, so direct-indexed
-    // tables beat hash maps on the hot build path.
-    u64 max_reg = 0, max_tok = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const MachInst &mi = prog.insts[i];
-        if (mi.dest.kind == OperandKind::Reg) {
-            if (mi.dest.reg < 0)
-                panicMalformedMachine(prog, static_cast<int>(i),
-                                      "destination register id is "
-                                      "negative");
-            max_reg = std::max<u64>(max_reg, static_cast<u64>(mi.dest.reg));
-        }
-        if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram)
-            max_tok = std::max<u64>(max_tok, mi.dest.value);
-    }
-    std::vector<int> last_writer(max_reg + 1, -1);   // register -> inst
-    std::vector<int> fifo_producer(max_tok + 1, -1); // token -> inst
+    // Dense producer tables: register ids are small consecutive ints
+    // from the allocator and FIFO tokens are IR value ids, so
+    // direct-indexed tables beat hash maps on the hot build path. Both
+    // grow on demand as writers appear; a source beyond a table's end
+    // has no writer yet.
+    std::vector<int> last_writer;   // register -> inst
+    std::vector<int> fifo_producer; // token -> inst
+    auto slot = [](std::vector<int> &table, u64 id) -> int & {
+        if (id >= table.size())
+            table.resize(std::max<u64>(id + 1, table.size() * 2), -1);
+        return table[static_cast<size_t>(id)];
+    };
 
     for (size_t i = 0; i < n; ++i) {
         const MachInst &mi = prog.insts[i];
-        auto resolveSrc = [&](const Operand &o) {
-            if (o.kind == OperandKind::Reg &&
-                static_cast<u64>(o.reg) <= max_reg)
-                return last_writer[static_cast<size_t>(o.reg)];
-            if (o.kind == OperandKind::Stream && !o.dram &&
-                o.value <= max_tok)
-                return fifo_producer[static_cast<size_t>(o.value)];
-            return -1;
-        };
+        const int self = static_cast<int>(i);
         // A source with no resolvable producer (a live-in register, an
         // HBM address, an immediate) simply has no edge.
         for (const Operand *src : {&mi.src0, &mi.src1, &mi.src2}) {
-            int def = resolveSrc(*src);
+            int def = -1;
+            if (src->kind == OperandKind::Reg &&
+                static_cast<u64>(src->reg) < last_writer.size())
+                def = last_writer[static_cast<size_t>(src->reg)];
+            else if (src->kind == OperandKind::Stream && !src->dram &&
+                     src->value < fifo_producer.size())
+                def = fifo_producer[static_cast<size_t>(src->value)];
             if (def >= 0)
-                g.addEdge(def, static_cast<int>(i), DepKind::True);
+                g.addEdge(def, self, DepKind::True);
         }
-        if (mi.writesDest()) {
-            if (mi.dest.kind == OperandKind::Reg) {
-                int prev = last_writer[static_cast<size_t>(mi.dest.reg)];
+        if (mi.dest.kind == OperandKind::Reg) {
+            if (mi.dest.reg < 0)
+                panicMalformedMachine(prog, self,
+                                      "destination register id is "
+                                      "negative");
+            if (mi.writesDest()) {
+                int &prev =
+                    slot(last_writer, static_cast<u64>(mi.dest.reg));
                 if (prev >= 0)
-                    g.addEdge(prev, static_cast<int>(i), DepKind::Anti);
-                last_writer[static_cast<size_t>(mi.dest.reg)] =
-                    static_cast<int>(i);
-            } else if (mi.dest.kind == OperandKind::Stream &&
-                       !mi.dest.dram) {
-                fifo_producer[static_cast<size_t>(mi.dest.value)] =
-                    static_cast<int>(i);
+                    g.addEdge(prev, self, DepKind::Anti);
+                prev = self;
             }
+        } else if (mi.dest.kind == OperandKind::Stream && !mi.dest.dram &&
+                   mi.writesDest()) {
+            slot(fifo_producer, mi.dest.value) = self;
         }
     }
     g.finalize();
     return g;
 }
 
-std::vector<uint32_t>
+const std::vector<uint32_t> &
 DepGraph::indegrees() const
 {
     EFFACT_ASSERT(finalized_, "graph not finalized");
-    std::vector<uint32_t> indeg(n_, 0);
-    for (size_t i = 0; i < n_; ++i)
-        indeg[i] = poff_[i + 1] - poff_[i];
-    return indeg;
+    return indeg_;
 }
 
 std::vector<double>

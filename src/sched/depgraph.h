@@ -6,8 +6,8 @@
  * must run before whom, and which of those edges carry data latency —
  * and previously each rebuilt it from scratch with separate ad-hoc code.
  * A `DepGraph` is built once from an instruction stream and exposes
- * successor/predecessor edge ranges, indegrees for ready-list countdown,
- * and critical-path priorities.
+ * successor edge ranges, indegrees for ready-list countdown, and
+ * critical-path priorities.
  */
 #ifndef EFFACT_SCHED_DEPGRAPH_H
 #define EFFACT_SCHED_DEPGRAPH_H
@@ -28,8 +28,7 @@ enum class DepKind : uint8_t {
     MemAlias, ///< may-alias memory ordering (from alias analysis)
 };
 
-/** One directed edge; `other` is the successor (in `succs`) or the
- *  predecessor (in `preds`). */
+/** One directed edge; `other` is the successor. */
 struct DepEdge
 {
     int other;
@@ -41,8 +40,9 @@ struct DepEdge
  * indices and edges always point forward (`from < to`), so reverse node
  * order is a topological order — `criticalPath` relies on this.
  *
- * Edges are appended with `addEdge` and compacted into CSR form by
- * `finalize()`; the factory builders return finalized graphs. Duplicate
+ * Edges are appended with `addEdge` and compacted by `finalize()` into
+ * a successor CSR plus per-node indegrees (the appended list is then
+ * released); the factory builders return finalized graphs. Duplicate
  * edges are kept (an instruction reading the same value through both
  * source operands counts it twice in the indegree and is woken twice,
  * which keeps the countdown consistent).
@@ -61,7 +61,7 @@ class DepGraph
     };
 
     DepGraph() = default;
-    explicit DepGraph(size_t n) : n_(n) {}
+    explicit DepGraph(size_t n) : n_(n), soff_(n + 1, 0), indeg_(n, 0) {}
 
     /** One raw `(from, to, kind)` edge, as appended. */
     struct Edge
@@ -90,23 +90,26 @@ class DepGraph
     /** Appends one edge; `from` must precede `to` in the stream. */
     void addEdge(int from, int to, DepKind kind);
 
-    /** Compacts appended edges into CSR form; call before queries. */
+    /**
+     * Compacts appended edges into the successor CSR and indegrees and
+     * releases the appended list; call before queries.
+     */
     void finalize();
 
     size_t size() const { return n_; }
-    size_t edgeCount() const { return raw_.size(); }
+    /** Number of edges, appended or finalized. */
+    size_t edgeCount() const
+    {
+        return finalized_ ? sedge_.size() : raw_.size();
+    }
 
     EdgeRange succs(size_t i) const
     {
         return {sedge_.data() + soff_[i], sedge_.data() + soff_[i + 1]};
     }
-    EdgeRange preds(size_t i) const
-    {
-        return {pedge_.data() + poff_[i], pedge_.data() + poff_[i + 1]};
-    }
 
-    /** Per-node indegree snapshot, for ready-list countdown. */
-    std::vector<uint32_t> indegrees() const;
+    /** Per-node indegrees, for ready-list countdown. */
+    const std::vector<uint32_t> &indegrees() const;
 
     /**
      * Longest-latency path from each node to any sink (the classic
@@ -118,10 +121,12 @@ class DepGraph
 
   private:
     size_t n_ = 0;
-    std::vector<Edge> raw_;
-    // CSR form, valid after finalize().
-    std::vector<uint32_t> soff_, poff_;
-    std::vector<DepEdge> sedge_, pedge_;
+    std::vector<Edge> raw_; // appended edges, released by finalize()
+    // Out-degrees while edges are appended, successor CSR offsets
+    // after finalize().
+    std::vector<uint32_t> soff_;
+    std::vector<DepEdge> sedge_; // valid after finalize()
+    std::vector<uint32_t> indeg_;
     bool finalized_ = false;
 };
 

@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -137,13 +138,20 @@ TEST(MachineFingerprint, MatchesBytewiseFnv1a)
           default: return rng() & 0xff00ff0000ff00ffULL;
         }
     };
+    // Besides the stock shapes, near-constant operands that differ from
+    // the None operand (kind 0, reg -1, value 0, dram 0) in one field,
+    // so a shortcut taken on a partial match cannot pass.
     auto operand = [&]() {
         Operand o;
-        switch (rng() % 4) {
-          case 0: break; // all-zero operand: None, reg -1
+        switch (rng() % 8) {
+          case 0: break; // the None operand
           case 1: o = Operand::regOp(static_cast<int>(rng() % 300)); break;
           case 2: o = Operand::stream(value(), rng() % 2 == 0); break;
-          default: o = Operand::imm(value()); break;
+          case 3: o = Operand::imm(value()); break;
+          case 4: o.value = value() | 1; break;   // None, value set
+          case 5: o.dram = true; break;           // None, dram set
+          case 6: o = Operand::regOp(-1); break;  // Reg, reg -1
+          default: o.reg = static_cast<int>(rng() % 300); break; // None
         }
         return o;
     };
@@ -171,6 +179,30 @@ TEST(MachineFingerprint, MatchesBytewiseFnv1a)
         ASSERT_EQ(fingerprint(mp), bytewiseFnv1a(mp)) << "trial " << trial;
     }
     EXPECT_EQ(fingerprint(MachineProgram{}), bytewiseFnv1a(MachineProgram{}));
+}
+
+TEST(MachineFingerprint, ConstantRunTablesMatchBytewiseFnv1a)
+{
+    // Bytewise FNV-1a over `bytes`, starting from state h.
+    auto fnv = [](uint64_t h, const std::vector<uint8_t> &bytes) {
+        for (uint8_t byte : bytes) {
+            h ^= byte;
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    std::vector<uint8_t> none(32, 0);
+    std::fill(none.begin() + 8, none.begin() + 16, 0xff);
+    const std::vector<uint8_t> minus_one(8, 0xff);
+    std::mt19937_64 rng(15);
+    // Every low-byte state, under zero, all-ones and random high bits.
+    for (uint64_t high : {uint64_t(0), ~uint64_t(0), u64(rng()), u64(rng())}) {
+        for (uint64_t low = 0; low < 256; ++low) {
+            const uint64_t h = (high & ~uint64_t(0xff)) | low;
+            ASSERT_EQ(fingerprintNoneOperand(h), fnv(h, none)) << h;
+            ASSERT_EQ(fingerprintMinusOne(h), fnv(h, minus_one)) << h;
+        }
+    }
 }
 
 // --- Preset hash ----------------------------------------------------------

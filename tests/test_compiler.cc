@@ -475,6 +475,55 @@ TEST(Compiler, SmallSramForcesSpills)
     EXPECT_EQ(m2.spillLoads, 0u);
 }
 
+TEST(Compiler, SpilledValuesCountEachSpillOnce)
+{
+    // Forty squares of mutable inputs, each read once early and once
+    // late, so all of them are live across the program while every
+    // load dies at its square. Each spilled computed value gets exactly
+    // one spill store (only read-only loads rematerialize, and there
+    // are none), so the spilled-value count must equal the spill-store
+    // count. Program order (no scheduling) keeps every load's interval
+    // one instruction long, so no load is ever the spill victim.
+    IrProgram prog;
+    prog.name = "spill_pressure";
+    prog.degree = 1 << 12;
+    prog.lanes = 64;
+    IrBuilder b(prog);
+    constexpr int kInputs = 40;
+    const int in = b.object("in", kInputs, false);
+    const int out = b.object("out", 1, false);
+    std::vector<PolyVal> squares;
+    for (int i = 0; i < kInputs; ++i) {
+        const PolyVal x = b.load(in, i, 1);
+        squares.push_back(b.mul(x, x));
+    }
+    PolyVal acc = squares[0];
+    for (int i = 1; i < kInputs; ++i)
+        acc = b.add(acc, squares[i]);
+    for (int i = 0; i < kInputs; ++i)
+        acc = b.mul(acc, squares[i]);
+    b.store(out, 0, acc);
+
+    for (const char *policy : {"linear", "priority"}) {
+        CompilerOptions opts;
+        opts.schedule = false;
+        opts.streaming = false;
+        opts.peephole = false;
+        opts.regalloc = policy;
+        opts.sramBytes = size_t(8) * prog.degree * 8; // 8 registers
+        Compiler compiler(opts);
+        IrProgram p = prog;
+        const MachineProgram mp = compiler.compile(p);
+        const StatSet &stats = compiler.stats();
+        EXPECT_GT(mp.spillStores, 0u) << policy;
+        EXPECT_EQ(stats.get("regalloc.spilledValues"),
+                  double(mp.spillStores))
+            << policy;
+        EXPECT_EQ(stats.get("regalloc.spillStores"), double(mp.spillStores))
+            << policy;
+    }
+}
+
 TEST(Compiler, OptimizationReducesInstructionCount)
 {
     // The paper reports its code optimizer removes 12.9% of the

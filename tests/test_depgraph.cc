@@ -1,10 +1,14 @@
 /**
  * @file
  * DepGraph tests: machine-level true (register + FIFO-token) and anti
- * (WAW) edges, IR-level operand and memory-alias edges, indegrees and
- * critical-path priorities.
+ * (WAW) edges, IR-level operand and memory-alias edges, indegrees,
+ * edge counts across finalize() and critical-path priorities.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <random>
 
 #include "compiler/pass.h"
 #include "ir/builder.h"
@@ -193,6 +197,147 @@ TEST(DepGraphMachine, DuplicateSourceCountsTwice)
     DepGraph g = DepGraph::fromMachine(mp);
     EXPECT_EQ(g.edgeCount(), 2u);
     EXPECT_EQ(g.indegrees()[1], 2u);
+}
+
+TEST(DepGraphMachine, SparseHighRegistersAndTokens)
+{
+    MachineProgram mp;
+    mp.residueBytes = 1 << 12;
+    const u64 token = u64(1) << 20;
+    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(4095),
+                               Operand::regOp(0), Operand::regOp(1)));
+    mp.insts.push_back(compute(Opcode::MMAD, Operand::stream(token),
+                               Operand::regOp(4095), Operand::regOp(2)));
+    // Reads the token, a register far above any writer (r5000) and one
+    // below the highest writer that nothing wrote (r4000).
+    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(7),
+                               Operand::stream(token),
+                               Operand::regOp(5000)));
+    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(8),
+                               Operand::regOp(4000)));
+
+    DepGraph g = DepGraph::fromMachine(mp);
+    auto edges = allEdges(g);
+    ASSERT_EQ(edges.size(), 2u);
+    EXPECT_EQ(edges[0], std::make_tuple(0, 1, DepKind::True));
+    EXPECT_EQ(edges[1], std::make_tuple(1, 2, DepKind::True));
+}
+
+TEST(DepGraphMachine, LiveInReadHasNoEdge)
+{
+    MachineProgram mp;
+    mp.residueBytes = 1 << 12;
+    // i0 reads r3 before any writer (a live-in); i1 then writes r3 and
+    // i2 reads it.
+    mp.insts.push_back(compute(Opcode::NTT, Operand::regOp(0),
+                               Operand::regOp(3)));
+    mp.insts.push_back(compute(Opcode::MMUL, Operand::regOp(3),
+                               Operand::regOp(0), Operand::regOp(0)));
+    mp.insts.push_back(compute(Opcode::INTT, Operand::regOp(4),
+                               Operand::regOp(3)));
+
+    DepGraph g = DepGraph::fromMachine(mp);
+    auto edges = allEdges(g);
+    ASSERT_EQ(edges.size(), 3u);
+    EXPECT_EQ(edges[0], std::make_tuple(0, 1, DepKind::True));
+    EXPECT_EQ(edges[1], std::make_tuple(0, 1, DepKind::True));
+    EXPECT_EQ(edges[2], std::make_tuple(1, 2, DepKind::True));
+    EXPECT_EQ(g.indegrees()[0], 0u);
+}
+
+/** A random machine program over a few registers and FIFO tokens. */
+MachineProgram
+randomMachineProgram(std::mt19937_64 &rng, size_t n)
+{
+    MachineProgram mp;
+    mp.residueBytes = 1 << 12;
+    auto operand = [&rng]() {
+        switch (rng() % 6) {
+          case 0: return Operand::none();
+          case 1: return Operand::imm(rng() % 100);
+          case 2: return Operand::stream(rng() % 16, rng() % 4 == 0);
+          default: return Operand::regOp(static_cast<int>(rng() % 24));
+        }
+    };
+    for (size_t i = 0; i < n; ++i) {
+        MachInst mi;
+        mi.op = static_cast<Opcode>(rng() % 10);
+        mi.dest = rng() % 3 == 0
+                      ? Operand::stream(rng() % 16)
+                      : Operand::regOp(static_cast<int>(rng() % 24));
+        mi.src0 = operand();
+        mi.src1 = operand();
+        mi.src2 = operand();
+        mp.insts.push_back(mi);
+    }
+    return mp;
+}
+
+TEST(DepGraphMachine, IndegreesMatchSuccessorTally)
+{
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 40; ++trial) {
+        const MachineProgram mp = randomMachineProgram(rng, 1 + rng() % 300);
+        const DepGraph g = DepGraph::fromMachine(mp);
+
+        std::vector<uint32_t> tally(g.size(), 0);
+        size_t edges = 0;
+        for (size_t i = 0; i < g.size(); ++i)
+            for (const DepEdge &e : g.succs(i)) {
+                ++tally[static_cast<size_t>(e.other)];
+                ++edges;
+            }
+        ASSERT_EQ(g.indegrees(), tally) << "trial " << trial;
+        ASSERT_EQ(g.edgeCount(), edges) << "trial " << trial;
+
+        // Map-based oracle for the edge multiset: RAW from the last
+        // writer of each register or token, WAW from the previous
+        // writer of the destination register.
+        std::vector<std::tuple<int, int, DepKind>> expect;
+        std::map<int, int> last_writer;
+        std::map<u64, int> producer;
+        for (size_t i = 0; i < mp.insts.size(); ++i) {
+            const MachInst &mi = mp.insts[i];
+            const int self = static_cast<int>(i);
+            for (const Operand *o : {&mi.src0, &mi.src1, &mi.src2}) {
+                if (o->kind == OperandKind::Reg && last_writer.count(o->reg))
+                    expect.emplace_back(last_writer[o->reg], self,
+                                        DepKind::True);
+                if (o->kind == OperandKind::Stream && !o->dram &&
+                    producer.count(o->value))
+                    expect.emplace_back(producer[o->value], self,
+                                        DepKind::True);
+            }
+            if (!mi.writesDest())
+                continue;
+            if (mi.dest.kind == OperandKind::Reg) {
+                if (last_writer.count(mi.dest.reg))
+                    expect.emplace_back(last_writer[mi.dest.reg], self,
+                                        DepKind::Anti);
+                last_writer[mi.dest.reg] = self;
+            } else {
+                producer[mi.dest.value] = self;
+            }
+        }
+        auto got = allEdges(g);
+        std::sort(got.begin(), got.end());
+        std::sort(expect.begin(), expect.end());
+        ASSERT_EQ(got, expect) << "trial " << trial;
+    }
+}
+
+TEST(DepGraph, EdgeCountSurvivesFinalize)
+{
+    DepGraph g(4);
+    g.addEdge(0, 1, DepKind::True);
+    g.addEdge(0, 2, DepKind::Anti);
+    g.addEdge(1, 3, DepKind::MemAlias);
+    g.addEdge(1, 3, DepKind::True);
+    EXPECT_EQ(g.edgeCount(), 4u);
+    g.finalize();
+    EXPECT_EQ(g.edgeCount(), 4u);
+    EXPECT_EQ(g.succs(1).size(), 2u);
+    EXPECT_EQ(g.indegrees(), (std::vector<uint32_t>{0, 1, 1, 2}));
 }
 
 TEST(DepGraphIr, OperandAndAliasEdges)

@@ -600,15 +600,29 @@ randomHardware(Rng &rng)
     return hw;
 }
 
-void
-checkSimulatorEquivalence(uint64_t seed, size_t target_insts)
+/** One random program compiled for its random hardware shape. */
+struct RandomCompile
+{
+    HardwareConfig hw;
+    MachineProgram mp;
+};
+
+/**
+ * Builds seed's random program and compiles it under a random option
+ * and hardware sample: both allocators, both schedulers, random SRAM
+ * down to a handful of registers, fully verified.
+ */
+RandomCompile
+compileRandomShape(uint64_t seed, size_t target_insts)
 {
     const GenMode mode =
         seed % 2 == 0 ? GenMode::kArithmetic : GenMode::kScaleChains;
     IrProgram prog = ProgramGen(seed, mode, target_insts).build();
 
     Rng rng(seed ^ 0xda3e39cb94b95bdbULL);
-    HardwareConfig hw = randomHardware(rng);
+    RandomCompile out;
+    HardwareConfig &hw = out.hw;
+    hw = randomHardware(rng);
     CompilerOptions opts;
     opts.copyProp = rng.uniform(2) == 0;
     opts.constProp = rng.uniform(2) == 0;
@@ -633,10 +647,18 @@ checkSimulatorEquivalence(uint64_t seed, size_t target_insts)
     opts.verifyLevel = 1;
 
     Compiler compiler(opts);
-    MachineProgram mp = compiler.compile(prog);
+    out.mp = compiler.compile(prog);
+    return out;
+}
+
+void
+checkSimulatorEquivalence(uint64_t seed, size_t target_insts)
+{
+    const RandomCompile rc = compileRandomShape(seed, target_insts);
+    const MachineProgram &mp = rc.mp;
     ASSERT_FALSE(mp.insts.empty()) << "seed " << seed;
 
-    Simulator sim(hw);
+    Simulator sim(rc.hw);
     const SimReport ev = sim.run(mp);
     const SimReport ref = sim.runReference(mp);
     const std::string tag = "seed " + std::to_string(seed);
@@ -757,6 +779,63 @@ TEST(FuzzDifferential, EventCoreMatchesReferenceSimulator)
 {
     for (uint64_t seed = 0; seed < 200; ++seed)
         checkSimulatorEquivalence(seed, 120);
+}
+
+/**
+ * Pins the back end's exact output on random programs: machine-code
+ * fingerprint, simulated cycles, instruction count and spill traffic
+ * for 24 seeds under compileRandomShape's option and hardware sampling
+ * (both allocators, both schedulers, SRAM down to a handful of
+ * registers; 20 of the 24 shapes spill). Any change to spill choice,
+ * register assignment, emission order or dependence tracking moves
+ * these numbers.
+ */
+TEST(FuzzDifferential, BackEndFingerprintsPinned)
+{
+    struct Pin
+    {
+        uint64_t seed;
+        uint64_t fingerprint;
+        double cycles; // exact, as a hexadecimal literal
+        size_t insts;
+        size_t spillLoads;
+        size_t spillStores;
+    };
+    static constexpr Pin kPins[] = {
+        {0, 0x44dc63327a163b59ULL, 0x1.1ce24dd2f1aa2p+11, 490, 124, 26},
+        {1, 0xc601bcefbfd998d8ULL, 0x1.13c8f5c28f58p+12, 3141, 1364, 407},
+        {2, 0x5e7a1e11a4a68366ULL, 0x1.5262aaaaaaa1fp+15, 3468, 1608, 530},
+        {3, 0x5a279b8ac029d858ULL, 0x1.421111111113dp+13, 806, 316, 123},
+        {4, 0x1dcff0ad26ca2977ULL, 0x1.88f92c5f92c7ep+10, 582, 219, 58},
+        {5, 0x5269d09268a30030ULL, 0x1.72111111111p+12, 516, 169, 47},
+        {6, 0x5c08edba0a301904ULL, 0x1.7ffbbbbbbbbbp+10, 361, 0, 0},
+        {7, 0xaf85150c0e870807ULL, 0x1.d3eb439580fe6p+11, 1927, 427, 106},
+        {8, 0xba8c4350bfc3a4faULL, 0x1.5b6eeeeeeeefdp+9, 548, 195, 50},
+        {9, 0x98ec21ce604abc1cULL, 0x1.ccc962fc961fap+12, 3023, 1320, 377},
+        {10, 0x5712755ffbb8f926ULL, 0x1.aeeeeeeeeeeep+11, 485, 96, 27},
+        {11, 0x0716801b468e5a00ULL, 0x1.0db3333333328p+11, 424, 90, 27},
+        {12, 0x2d8acceae0480cadULL, 0x1.7a740da740da2p+8, 377, 47, 11},
+        {13, 0xf789b2de0db84c34ULL, 0x1.5ad0369d036acp+8, 301, 0, 0},
+        {14, 0x7f019b9c3ebc112cULL, 0x1.2dbf258bf2587p+9, 517, 138, 40},
+        {15, 0x7bf689df192cc56cULL, 0x1.03806d3a06d48p+11, 489, 114, 47},
+        {16, 0x5edb36fa57f36736ULL, 0x1.03888888888b2p+11, 783, 340, 124},
+        {17, 0xe18d208123d7f67fULL, 0x1.78a3d70a3d701p+9, 372, 60, 12},
+        {18, 0x2564829e91c68929ULL, 0x1.a0f1a9fbe76ccp+7, 319, 0, 0},
+        {19, 0x4df63d43701a2fd3ULL, 0x1.a3ba740da733fp+11, 2743, 1116, 295},
+        {20, 0xe1f914f4cf64f8a4ULL, 0x1.8888888888888p+7, 338, 0, 0},
+        {21, 0x8f0e7b1aaceaf71cULL, 0x1.8aa6666666654p+12, 589, 156, 65},
+        {22, 0x1fe294495fda9355ULL, 0x1.2a9cac083127p+10, 386, 39, 16},
+        {23, 0x028efd538b974ffcULL, 0x1.9083126e978d6p+8, 325, 0, 0},
+    };
+    for (const Pin &pin : kPins) {
+        const RandomCompile rc = compileRandomShape(pin.seed, 1500);
+        const std::string tag = "seed " + std::to_string(pin.seed);
+        EXPECT_EQ(fingerprint(rc.mp), pin.fingerprint) << tag;
+        EXPECT_EQ(rc.mp.insts.size(), pin.insts) << tag;
+        EXPECT_EQ(rc.mp.spillLoads, pin.spillLoads) << tag;
+        EXPECT_EQ(rc.mp.spillStores, pin.spillStores) << tag;
+        EXPECT_EQ(Simulator(rc.hw).run(rc.mp).cycles, pin.cycles) << tag;
+    }
 }
 
 // --- Slow sweep (ctest -C slow -L slow) -----------------------------------

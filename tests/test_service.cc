@@ -400,7 +400,7 @@ TEST(Protocol, CanonicalResultStripsBackendPhaseTimings)
     const ServiceResult canon = canonicalResult(res);
     for (const char *key :
          {"compile.backend.sched.ms", "compile.backend.stream.ms",
-          "compile.backend.regalloc.ms"}) {
+          "compile.backend.regalloc.ms", "job.fingerprint.ms"}) {
         EXPECT_EQ(res.stats.all().count(key), 1u) << key;
         EXPECT_GE(res.stats.get(key), 0.0) << key;
         EXPECT_EQ(canon.stats.all().count(key), 0u) << key;
