@@ -35,7 +35,8 @@ usage(const char *argv0)
         "  --oracle         offline replay, serial + uncached (the\n"
         "                   determinism oracle)\n"
         "  --connect SOCK   drive the log through a live daemon\n"
-        "  --make-demo      write a 3-request demo log to LOG and exit\n"
+        "  --make-demo      write a 5-request, 2-batch demo log to LOG\n"
+        "                   and exit\n"
         "options: --threads N --queue-depth N --batch N --cache-bytes N\n"
         "         --shutdown (with --connect: stop the daemon after the\n"
         "         log)\n",
@@ -53,9 +54,13 @@ parseSize(const char *arg, size_t *out)
     return true;
 }
 
-/** Three small db-lookup design points across ablation presets: enough
- *  to exercise request/flush framing, distinct middle-end cache keys
- *  and a deterministic diffable output, in well under a second. */
+/** Two flush-batches of small db-lookup design points: three across
+ *  ablation presets (distinct middle-end cache keys), then
+ *  `demo-full-64`'s recipe again at another SRAM size (a recipe-memo
+ *  hit: no IR build, back end on the shared snapshot) and under another
+ *  preset (a separate memo entry). Enough to exercise request/flush
+ *  framing and both cache paths with a deterministic diffable output,
+ *  in well under a second. */
 int
 writeDemoLog(const std::string &path)
 {
@@ -65,18 +70,25 @@ writeDemoLog(const std::string &path)
         std::fprintf(stderr, "effact-replay: %s\n", error.c_str());
         return 1;
     }
-    const effact::HardwareConfig hw = effact::HardwareConfig::asicEffact27();
+    using effact::Platform;
+    const size_t mb27 = size_t(27) << 20;
+    const size_t mb13 = size_t(13) << 20;
     const struct
     {
         const char *name;
         size_t records;
+        size_t sramBytes;
         effact::CompilerOptions copts;
+        bool flushAfter;
     } requests[] = {
-        {"demo-baseline-32", 32,
-         effact::Platform::baselineOptions(hw.sramBytes)},
-        {"demo-streaming-48", 48,
-         effact::Platform::streamingOptions(hw.sramBytes)},
-        {"demo-full-64", 64, effact::Platform::fullOptions(hw.sramBytes)},
+        {"demo-baseline-32", 32, mb27, Platform::baselineOptions(mb27),
+         false},
+        {"demo-streaming-48", 48, mb27, Platform::streamingOptions(mb27),
+         false},
+        {"demo-full-64", 64, mb27, Platform::fullOptions(mb27), true},
+        {"demo-full-64-sram13", 64, mb13, Platform::fullOptions(mb13),
+         false},
+        {"demo-mad-64", 64, mb27, Platform::madEnhancedOptions(mb27), true},
     };
     uint64_t tag = 100;
     for (const auto &spec : requests) {
@@ -88,13 +100,16 @@ writeDemoLog(const std::string &path)
         req.fhe.levels = 6;
         req.fhe.dnum = 2;
         req.param = spec.records;
-        req.hw = hw;
+        req.hw = effact::HardwareConfig::asicEffact27();
+        req.hw.sramBytes = spec.sramBytes;
         req.copts = spec.copts;
         writer.append(effact::FrameType::Request,
                       effact::encodeRequest(req));
+        if (spec.flushAfter)
+            writer.append(effact::FrameType::Flush, {});
     }
-    writer.append(effact::FrameType::Flush, {});
-    std::fprintf(stderr, "effact-replay: wrote 3-request demo log to %s\n",
+    std::fprintf(stderr,
+                 "effact-replay: wrote 5-request, 2-batch demo log to %s\n",
                  path.c_str());
     return 0;
 }

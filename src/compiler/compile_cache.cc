@@ -1,5 +1,6 @@
 #include "compiler/compile_cache.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -105,37 +106,110 @@ CompileCache::getOrBuild(const CompileCacheKey &key,
         slot = it->second;
     }
     ++lookups_;
-
-    if (builder) {
-        // Build outside the shard lock: only same-key requesters wait.
-        MiddleEndSnapshot snap = build();
-        const size_t entry_bytes = snapshotBytes(snap);
-        {
-            std::lock_guard<std::mutex> lock(slot->mu);
-            slot->snap = std::move(snap);
-            slot->bytes = entry_bytes;
-            slot->ready = true;
-        }
-        slot->readyCv.notify_all();
-        // Waiters are unblocked before accounting: even if this entry
-        // is evicted right here (budget smaller than the entry), every
-        // requester already holds the slot and clones a valid snapshot.
-        if (budget_ > 0)
-            accountAndEvict(key, slot);
-    } else {
-        ++hits_;
-        ++frontendSkipped_;
-        {
-            std::unique_lock<std::mutex> lock(slot->mu);
-            slot->readyCv.wait(lock, [&] { return slot->ready; });
-        }
-        if (budget_ > 0)
-            touch(slot);
-    }
     if (hit != nullptr)
         *hit = !builder;
+    if (!builder)
+        return awaitHit(slot);
+
+    // Build outside the shard lock: only same-key requesters wait.
+    MiddleEndSnapshot snap = build();
+    const size_t entry_bytes = snapshotBytes(snap);
+    {
+        std::lock_guard<std::mutex> lock(slot->mu);
+        slot->snap = std::move(snap);
+        slot->bytes = entry_bytes;
+        slot->ready = true;
+    }
+    slot->readyCv.notify_all();
+    // Waiters are unblocked before accounting: even if this entry is
+    // evicted right here (budget smaller than the entry), every
+    // requester already holds the slot and reads a valid snapshot.
+    if (budget_ > 0)
+        accountAndEvict(key, slot);
     // Aliasing shared_ptr: the snapshot's lifetime is the slot's.
     return {slot, &slot->snap};
+}
+
+std::shared_ptr<const MiddleEndSnapshot>
+CompileCache::awaitHit(const std::shared_ptr<Slot> &slot)
+{
+    ++hits_;
+    ++frontendSkipped_;
+    {
+        std::unique_lock<std::mutex> lock(slot->mu);
+        slot->readyCv.wait(lock, [&] { return slot->ready; });
+    }
+    if (budget_ > 0)
+        touch(slot);
+    return {slot, &slot->snap};
+}
+
+std::shared_ptr<CompileCache::Slot>
+CompileCache::indexed(const CompileCacheKey &key)
+{
+    Shard &shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.entries.find(key);
+    return it == shard.entries.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const MiddleEndSnapshot>
+CompileCache::getOrBuildRecipe(const RecipeKey &key,
+                               const std::function<RecipeMemo()> &build,
+                               WorkloadInfo *info)
+{
+    EFFACT_ASSERT(build != nullptr && info != nullptr,
+                  "recipe memo needs a builder and an info slot");
+    std::shared_ptr<Slot> slot;
+    {
+        std::unique_lock<std::mutex> lock(memo_mu_);
+        // Wait out an in-flight build of this recipe.
+        memoCv_.wait(lock, [&] {
+            const auto it = memo_.find(key);
+            return it == memo_.end() || !it->second.building;
+        });
+        auto [it, inserted] = memo_.try_emplace(key);
+        MemoEntry &entry = it->second;
+        if (!inserted)
+            slot = indexed(entry.memo.snapshot);
+        if (slot != nullptr)
+            *info = entry.memo.info;
+        else
+            entry.building = true; // first sighting, or evicted: build
+    }
+    if (slot != nullptr) {
+        ++lookups_;
+        ++recipeHits_;
+        return awaitHit(slot);
+    }
+
+    RecipeMemo memo = build();
+    {
+        std::lock_guard<std::mutex> lock(memo_mu_);
+        MemoEntry &entry = memo_[key];
+        entry.memo = std::move(memo);
+        entry.building = false;
+        pruneMemo();
+    }
+    memoCv_.notify_all();
+    return nullptr;
+}
+
+void
+CompileCache::pruneMemo()
+{
+    // Only a byte budget evicts snapshots, so only then can memo
+    // entries go stale.
+    if (budget_ == 0 || memo_.size() < memoPruneAt_)
+        return;
+    for (auto it = memo_.begin(); it != memo_.end();) {
+        const MemoEntry &entry = it->second;
+        if (!entry.building && indexed(entry.memo.snapshot) == nullptr)
+            it = memo_.erase(it);
+        else
+            ++it;
+    }
+    memoPruneAt_ = std::max(kMemoPruneMin, 2 * memo_.size());
 }
 
 void
@@ -193,6 +267,11 @@ CompileCache::statsSnapshot() const
     s.set("cache.hits", hit_count);
     s.set("cache.misses", lookups - hit_count);
     s.set("cache.frontend_skipped", double(frontendSkipped_.load()));
+    s.set("cache.recipe_hits", double(recipeHits_.load()));
+    {
+        std::lock_guard<std::mutex> lock(memo_mu_);
+        s.set("cache.recipe_entries", double(memo_.size()));
+    }
     s.set("cache.entries", double(entryCount()));
     s.set("cache.evictions", double(evictions_.load()));
     s.set("cache.bytes", double(currentBytes()));
@@ -232,6 +311,12 @@ CompileCache::clear()
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.entries.clear();
     }
+    {
+        std::lock_guard<std::mutex> lock(memo_mu_);
+        memo_.clear();
+        memoPruneAt_ = kMemoPruneMin;
+    }
+    recipeHits_ = 0;
     lookups_ = 0;
     hits_ = 0;
     frontendSkipped_ = 0;

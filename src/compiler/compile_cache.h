@@ -5,8 +5,7 @@
  * IR). A re-compilation sweep that varies only the hardware config —
  * e.g. the Fig. 11 preset x SRAM grid — optimizes each (workload,
  * preset) pair once; every other cell skips straight to the back end
- * (scheduling, streaming, regalloc, codegen) on a clone of the cached
- * optimized-IR snapshot.
+ * (scheduling, streaming, regalloc, codegen).
  *
  * Keying. The key is `(fingerprint(IrProgram), preset hash)`:
  *
@@ -25,14 +24,25 @@
  *   per-(workload, preset) — the unit sweep grids are defined over —
  *   and stays trivially sound if a future pass consults those switches.
  *
+ * Two kinds of hit. A program hit (`getOrBuild`, wired through
+ * `Compiler::compileMiddle`) still needs the caller's IR to fingerprint,
+ * and a caller that hands in a mutable program gets a clone of the
+ * snapshot. A recipe hit (`getOrBuildRecipe`) needs neither: when a job's
+ * IR is a pure function of a small recipe (the service's request
+ * fields), a memo maps (recipe hash, preset hash) to the key of the
+ * snapshot that recipe optimized into, plus the workload metadata
+ * reporting reads. A memo hit builds no IR, fingerprints nothing, and
+ * the back end reads the shared snapshot directly (zero copy). The memo
+ * holds keys, not snapshots: it never keeps one alive, and a recipe
+ * whose snapshot was evicted simply rebuilds.
+ *
  * Concurrency. The store is sharded and mutex-protected, and lookups
  * are single-flight: the first requester of a key runs the build while
  * later requesters of the same key block until the snapshot is
- * published, then clone it. Entries are immutable after publication, so
- * any thread count and any hit pattern produce byte-identical compiles
- * — the build count per key is exactly one, which is what makes
- * `cache.*` statistics deterministic. Per-worker `AnalysisManager`s are
- * untouched by all of this and stay lock-free.
+ * published. The recipe memo is single-flight the same way. Entries are
+ * immutable after publication, so any thread count and any hit pattern
+ * produce byte-identical compiles — the build count per key is exactly
+ * one, which is what makes `cache.*` statistics deterministic.
  */
 #ifndef EFFACT_COMPILER_COMPILE_CACHE_H
 #define EFFACT_COMPILER_COMPILE_CACHE_H
@@ -50,6 +60,7 @@
 #include "common/stats.h"
 #include "compiler/pass.h"
 #include "ir/ir.h"
+#include "ir/workloads.h"
 
 namespace effact {
 
@@ -64,6 +75,27 @@ struct CompileCacheKey
         return irFingerprint == o.irFingerprint &&
                presetHash == o.presetHash;
     }
+};
+
+/** Recipe-memo key: how a job's IR is built x compiler preset. */
+struct RecipeKey
+{
+    uint64_t recipeHash = 0; ///< hash of the recipe the IR is built from
+    uint64_t presetHash = 0; ///< `middleEndPresetHash(CompilerOptions)`
+
+    bool operator==(const RecipeKey &o) const
+    {
+        return recipeHash == o.recipeHash && presetHash == o.presetHash;
+    }
+};
+
+/** What the memo keeps per recipe: the key of the snapshot the
+ *  recipe's IR optimized into (a weak reference: a key, never the
+ *  snapshot) and the workload metadata `Platform::assemble` reads. */
+struct RecipeMemo
+{
+    CompileCacheKey snapshot;
+    WorkloadInfo info;
 };
 
 /**
@@ -83,11 +115,12 @@ CompileCacheKey middleEndCacheKey(const IrProgram &prog,
 
 /**
  * Immutable result of one middle-end run: the optimized (pipelined +
- * compacted) program and the statistics the run recorded. A cache hit
- * clones `optimized` (the copy gets a fresh `uid()`, so per-worker
- * analysis caches can never confuse it with another program) and
- * replays `stats`, so a hit's compiler statistics are byte-identical to
- * the miss that built the entry, wall-clock keys included.
+ * compacted) program and the statistics the run recorded. A hit replays
+ * `stats`, so its compiler statistics are byte-identical to the miss
+ * that built the entry, wall-clock keys included. The back end either
+ * reads `optimized` in place (a recipe hit) or gets a clone (a program
+ * hit through `Compiler::compileMiddle`, whose caller owns a mutable
+ * program).
  */
 struct MiddleEndSnapshot
 {
@@ -147,6 +180,14 @@ size_t defaultCacheBytes();
  *                      `Compiler::compile`'s wiring, where every hit
  *                      reuses the snapshot; tracked separately so a
  *                      future lookup-only consumer can't skew it;
+ * - `cache.recipe_hits` — the subset of `cache.hits` served by the
+ *                      recipe memo (no IR built, no copy). Exact like
+ *                      the others: the memo is single-flight too;
+ * - `cache.recipe_entries` — recipes currently memoized. With a byte
+ *                      budget, entries whose snapshot was evicted are
+ *                      pruned each time the memo doubles, so it stays
+ *                      within twice the recipes whose snapshots are
+ *                      stored (floor 64);
  * - `cache.evictions` — entries dropped by the byte budget;
  * - `cache.entries`  — entries currently stored;
  * - `cache.bytes`    — accounted bytes of the published entries;
@@ -181,14 +222,32 @@ class CompileCache
                const std::function<MiddleEndSnapshot()> &build,
                bool *hit = nullptr);
 
+    /**
+     * Recipe-memo lookup, single-flight like `getOrBuild`. If `key`'s
+     * recipe was built before and the snapshot it recorded is still
+     * stored, returns that snapshot (for the caller to read in place)
+     * and sets `*info`; that counts as a lookup, a hit, a skipped front
+     * end and a recipe hit. Otherwise runs `build` — the caller's
+     * ordinary path: build the IR and run `Compiler::compileMiddle`
+     * against this cache, which does its own (counted) lookup — records
+     * the memo it returns, and returns null. Concurrent callers with the
+     * same key wait for the running build, then hit. `build` may call
+     * `getOrBuild` but must not re-enter the memo.
+     */
+    std::shared_ptr<const MiddleEndSnapshot>
+    getOrBuildRecipe(const RecipeKey &key,
+                     const std::function<RecipeMemo()> &build,
+                     WorkloadInfo *info);
+
     /** Point-in-time `cache.*` statistics (see class comment). */
     StatSet statsSnapshot() const;
 
     /** Entries currently stored (published or in flight). */
     size_t entryCount() const;
 
-    /** Drops every entry and resets the counters. Not meant to race
-     *  with in-flight compiles (a sweep clears between batches). */
+    /** Drops every entry and the recipe memo, and resets the counters.
+     *  Not meant to race with in-flight compiles (a sweep clears
+     *  between batches). */
     void clear();
 
   private:
@@ -228,6 +287,23 @@ class CompileCache
         }
     };
 
+    struct RecipeKeyHash
+    {
+        size_t operator()(const RecipeKey &k) const
+        {
+            return static_cast<size_t>(k.recipeHash * 1099511628211ULL ^
+                                       k.presetHash);
+        }
+    };
+
+    /** One memo entry; `building` while its first requester (or the
+     *  rebuilder after an eviction) runs the build. */
+    struct MemoEntry
+    {
+        RecipeMemo memo;
+        bool building = true;
+    };
+
     struct Shard
     {
         mutable std::mutex mu;
@@ -248,12 +324,26 @@ class CompileCache
     /** Moves a hit entry to the MRU position. No locks held on entry. */
     void touch(const std::shared_ptr<Slot> &slot);
 
+    /** The slot currently indexed under `key`, or null. Takes the
+     *  key's shard lock. */
+    std::shared_ptr<Slot> indexed(const CompileCacheKey &key);
+
+    /** Blocks until `slot` is published; counts a hit; returns the
+     *  snapshot. */
+    std::shared_ptr<const MiddleEndSnapshot>
+    awaitHit(const std::shared_ptr<Slot> &slot);
+
+    /** Drops memo entries whose snapshot is no longer stored, once the
+     *  memo has doubled since the last sweep. `memo_mu_` held. */
+    void pruneMemo();
+
     static constexpr size_t kShards = 16;
     std::array<Shard, kShards> shards_;
     std::atomic<uint64_t> lookups_{0};
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> frontendSkipped_{0};
     std::atomic<uint64_t> evictions_{0};
+    std::atomic<uint64_t> recipeHits_{0};
 
     const size_t budget_; ///< 0 = unbounded
     /**
@@ -265,6 +355,18 @@ class CompileCache
     mutable std::mutex lru_mu_;
     std::list<LruNode> lru_;
     size_t bytes_ = 0;
+
+    /**
+     * The recipe memo, guarded by `memo_mu_`; `memoCv_` wakes waiters
+     * on an in-flight recipe build. Lock ordering: `memo_mu_` may be
+     * taken alone or *before* a shard mutex (`indexed`); it is never
+     * taken while holding any other cache lock.
+     */
+    mutable std::mutex memo_mu_;
+    std::condition_variable memoCv_;
+    std::unordered_map<RecipeKey, MemoEntry, RecipeKeyHash> memo_;
+    static constexpr size_t kMemoPruneMin = 64;
+    size_t memoPruneAt_ = kMemoPruneMin;
 };
 
 } // namespace effact

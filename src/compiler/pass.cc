@@ -52,7 +52,7 @@ Compiler::compile(IrProgram &prog, AnalysisManager &analyses,
 
 void
 Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                        CompileCache *cache)
+                        CompileCache *cache, CompileCacheKey *key_out)
 {
     stats_.clear();
     if (cache == nullptr) {
@@ -63,6 +63,8 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
     // The cache key is computed over the *input* program; the build
     // below mutates it, so key first.
     const CompileCacheKey key = middleEndCacheKey(prog, opts_);
+    if (key_out != nullptr)
+        *key_out = key;
     bool hit = false;
     std::shared_ptr<const MiddleEndSnapshot> snap = cache->getOrBuild(
         key,
@@ -75,14 +77,27 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
         &hit);
     if (hit) {
         // Skip the whole optimization pipeline: adopt a clone of the
-        // cached optimized IR. The clone's fresh uid keeps per-worker
-        // analysis caches sound.
+        // cached optimized IR. The clone's fresh uid keeps the caller's
+        // analysis cache sound.
         prog = snap->optimized;
     }
     // Replaying the snapshot's stats (also on the miss path, where they
     // are exactly what runMiddleEnd just recorded) keeps hit and miss
     // compiles byte-identical except for the cache.hit marker.
-    stats_.merge(snap->stats);
+    replay(*snap, hit);
+}
+
+void
+Compiler::adoptSnapshot(const MiddleEndSnapshot &snap)
+{
+    stats_.clear();
+    replay(snap, true);
+}
+
+void
+Compiler::replay(const MiddleEndSnapshot &snap, bool hit)
+{
+    stats_.merge(snap.stats);
     stats_.set("cache.hit", hit ? 1 : 0);
 }
 

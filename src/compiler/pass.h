@@ -172,7 +172,9 @@ MachineProgram runRegAllocAndCodegen(const IrProgram &prog,
                                      const CompilerOptions &opts,
                                      StatSet &stats);
 
-class CompileCache; // compiler/compile_cache.h
+class CompileCache;       // compiler/compile_cache.h
+struct CompileCacheKey;   // compiler/compile_cache.h
+struct MiddleEndSnapshot; // compiler/compile_cache.h
 
 /**
  * Full pipeline: optimize, schedule, allocate, emit — split at the
@@ -194,9 +196,8 @@ class Compiler
     /**
      * Same, against a caller-owned `AnalysisManager`. Analyses are
      * cached keyed on (program uid, version), so one manager can serve
-     * a whole re-compilation sweep — a batch worker reuses its manager
-     * across jobs without locking, and a re-compile of unchanged IR
-     * hits the cache. The manager must not be shared across threads.
+     * several compiles — a re-compile of unchanged IR hits the cache.
+     * The manager must not be shared across threads.
      */
     MachineProgram compile(IrProgram &prog, AnalysisManager &analyses);
 
@@ -216,11 +217,22 @@ class Compiler
      * alone (pipeline to fixed point, or snapshot adoption on a cache
      * hit). Resets the compiler's stats. Pairs with `compileBack`; the
      * pair is exactly `compile(prog, analyses, cache)` split at the
-     * hardware boundary, so a stage-pipelined driver can run another
-     * job's back end between the two.
+     * hardware boundary. With a cache, `key_out` (optional) receives
+     * the key it consulted, so a caller can memoize a recipe to it
+     * without fingerprinting the program again.
      */
     void compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                       CompileCache *cache);
+                       CompileCache *cache,
+                       CompileCacheKey *key_out = nullptr);
+
+    /**
+     * The zero-copy alternative to `compileMiddle`'s hit: resets the
+     * stats and replays `snap`'s middle-end statistics with the
+     * `cache.hit` marker, exactly as that hit does, but adopts no
+     * program — the caller runs `compileBack` on `snap.optimized`
+     * itself.
+     */
+    void adoptSnapshot(const MiddleEndSnapshot &snap);
 
     /** Staged variant of `compile`, stage 2: the back end over the
      *  program `compileMiddle` optimized. Appends to the stats
@@ -256,6 +268,10 @@ class Compiler
     const CompilerOptions &options() const { return opts_; }
 
   private:
+    /** Replays a snapshot's middle-end stats plus the `cache.hit`
+     *  marker into the (freshly reset) stats. */
+    void replay(const MiddleEndSnapshot &snap, bool hit);
+
     CompilerOptions opts_;
     StatSet stats_;
 };

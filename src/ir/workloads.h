@@ -15,15 +15,21 @@
 
 namespace effact {
 
-/** A generated workload: the IR program plus scaling metadata. */
-struct Workload
+/** A workload's scaling metadata: everything besides the program that
+ *  benchmark-level reporting (`Platform::assemble`) reads. */
+struct WorkloadInfo
 {
-    IrProgram program;
     double repeat = 1.0;   ///< full benchmark = program runtime * repeat
     /** Divisor for amortized-time reporting: slots x (L - L_boot), the
      *  standard T_A.S. definition of [30]. */
     double amortizeFactor = 1.0;
     FheParams fhe;
+};
+
+/** A generated workload: the IR program plus its scaling metadata. */
+struct Workload : WorkloadInfo
+{
+    IrProgram program;
 };
 
 /** Bootstrapping stage budget (Table III). */

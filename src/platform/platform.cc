@@ -42,17 +42,26 @@ Platform::run(Workload &workload, AnalysisManager &analyses,
     Compiler compiler = makeCompiler();
     const Clock::time_point t0 = Clock::now();
     compiler.compileMiddle(workload.program, analyses, cache);
-    const Clock::time_point t1 = Clock::now();
-    MachineProgram mp = compiler.compileBack(workload.program, analyses);
-    const Clock::time_point t2 = Clock::now();
-    SimReport sim = simulate(mp);
-    const Clock::time_point t3 = Clock::now();
+    const double middle_ms = Ms(Clock::now() - t0).count();
+    PlatformResult result =
+        runBack(compiler, workload.program, workload, analyses);
+    result.jobStats.set("job.middle.ms", middle_ms);
+    return result;
+}
 
-    PlatformResult result = assemble(compiler, mp, workload,
-                                     std::move(sim));
-    result.jobStats.set("job.middle.ms", Ms(t1 - t0).count());
-    result.jobStats.set("job.backend.ms", Ms(t2 - t1).count());
-    result.jobStats.set("job.sim.ms", Ms(t3 - t2).count());
+PlatformResult
+Platform::runBack(Compiler &compiler, const IrProgram &prog,
+                  const WorkloadInfo &info, AnalysisManager &analyses) const
+{
+    const Clock::time_point t0 = Clock::now();
+    MachineProgram mp = compiler.compileBack(prog, analyses);
+    const Clock::time_point t1 = Clock::now();
+    SimReport sim = simulate(mp);
+    const Clock::time_point t2 = Clock::now();
+
+    PlatformResult result = assemble(compiler, mp, info, std::move(sim));
+    result.jobStats.set("job.backend.ms", Ms(t1 - t0).count());
+    result.jobStats.set("job.sim.ms", Ms(t2 - t1).count());
     return result;
 }
 
@@ -65,15 +74,14 @@ Platform::simulate(const MachineProgram &mp) const
 
 PlatformResult
 Platform::assemble(const Compiler &compiler, const MachineProgram &mp,
-                   const Workload &workload, SimReport sim) const
+                   const WorkloadInfo &info, SimReport sim) const
 {
     PlatformResult result;
     result.sim = std::move(sim);
     result.compilerStats = compiler.stats();
-    result.benchTimeMs = result.sim.timeMs * workload.repeat;
-    result.amortizedUs =
-        result.benchTimeMs * 1e3 / workload.amortizeFactor;
-    result.dramGb = result.sim.dramBytes * workload.repeat / 1e9;
+    result.benchTimeMs = result.sim.timeMs * info.repeat;
+    result.amortizedUs = result.benchTimeMs * 1e3 / info.amortizeFactor;
+    result.dramGb = result.sim.dramBytes * info.repeat / 1e9;
     const Clock::time_point t0 = Clock::now();
     result.machineFingerprint = fingerprint(mp);
     result.jobStats.set("job.fingerprint.ms", Ms(Clock::now() - t0).count());

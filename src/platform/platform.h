@@ -26,9 +26,10 @@ struct PlatformResult
      * Per-stage wall-clock of this job (`job.middle.ms`,
      * `job.backend.ms`, `job.sim.ms`, and `job.fingerprint.ms` from
      * `assemble`; the batch engine adds `job.ir.ms` for workload
-     * construction). Host timings, not simulated ones — the one
-     * result family that is *not* deterministic; `SweepEngine`
-     * aggregates it so perf lanes can see where a job's latency goes.
+     * construction, 0 when its recipe memo skipped the build). Host
+     * timings, not simulated ones — the one result family that is
+     * *not* deterministic; `SweepEngine` aggregates it so perf lanes
+     * can see where a job's latency goes.
      */
     StatSet jobStats;
     double benchTimeMs = 0;   ///< program time x workload repeat factor
@@ -51,9 +52,8 @@ class Platform
 
     /**
      * Same, compiling against a caller-owned `AnalysisManager` (see
-     * `Compiler::compile`): a batch worker keeps one manager across its
-     * jobs so cached analyses are reused without locking. Not safe to
-     * share one manager between concurrently running jobs.
+     * `Compiler::compile`). Not safe to share one manager between
+     * concurrently running jobs.
      */
     PlatformResult run(Workload &workload, AnalysisManager &analyses) const;
 
@@ -67,15 +67,26 @@ class Platform
     PlatformResult run(Workload &workload, AnalysisManager &analyses,
                        CompileCache *cache) const;
 
-    // --- Staged pieces (the pipelined sweep path) -----------------------
-    // `run` is exactly `Compiler::compileMiddle` + `compileBack` +
-    // `simulate` + `assemble`; a stage-pipelined driver calls the pieces
-    // as separate pool tasks so stages of different jobs overlap. The
-    // assembled result is identical either way.
+    // --- Staged pieces -------------------------------------------------
+    // `run` is exactly `Compiler::compileMiddle` + `runBack`, and
+    // `runBack` is `Compiler::compileBack` + `simulate` + `assemble`. A
+    // driver that gets its middle end elsewhere (the batch engine's
+    // recipe memo) calls the pieces itself; the result is identical.
 
     /** A compiler configured for this platform (hardware-adjusted
      *  options: `sramBytes`, `issueWindow`). */
     Compiler makeCompiler() const { return Compiler(copts_); }
+
+    /**
+     * The back half of `run`: the back end over `prog`, which `compiler`
+     * has already optimized or adopted as a cached snapshot (see
+     * `Compiler::adoptSnapshot`), then simulation and assembly, timed as
+     * `job.backend.ms` and `job.sim.ms`. `prog` is only read, so it may
+     * be a snapshot shared with concurrent jobs.
+     */
+    PlatformResult runBack(Compiler &compiler, const IrProgram &prog,
+                           const WorkloadInfo &info,
+                           AnalysisManager &analyses) const;
 
     /** Simulates a compiled program on this platform's hardware. */
     SimReport simulate(const MachineProgram &mp) const;
@@ -83,7 +94,7 @@ class Platform
     /** Assembles the benchmark-level result from the staged pieces. */
     PlatformResult assemble(const Compiler &compiler,
                             const MachineProgram &mp,
-                            const Workload &workload, SimReport sim) const;
+                            const WorkloadInfo &info, SimReport sim) const;
 
     const HardwareConfig &hardware() const { return hw_; }
     const CompilerOptions &compilerOptions() const { return copts_; }

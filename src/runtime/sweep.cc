@@ -15,44 +15,67 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Ms = std::chrono::duration<double, std::milli>;
 
-/** Runs one job monolithically against a worker-owned analysis manager
- *  (and, when the engine has one, the shared compile cache). */
+/**
+ * Runs one job start to finish. The job owns its `AnalysisManager`:
+ * recipe hits share one snapshot program (one uid) across jobs, and a
+ * manager reused across them would turn a later job's analysis builds
+ * into cache hits, making `analysis.*` stats depend on which worker ran
+ * which job.
+ */
 SweepResult
-runJob(const SweepJob &job, size_t index, AnalysisManager &analyses,
-       CompileCache *cache)
+runJob(const SweepJob &job, size_t index, CompileCache *cache)
 {
     EFFACT_ASSERT(job.build != nullptr, "sweep job '%s' has no workload",
                   job.name.c_str());
-    const Clock::time_point t0 = Clock::now();
-    Workload workload = job.build();
-    const double ir_ms = Ms(Clock::now() - t0).count();
-    Platform platform(job.hw, job.copts);
+    AnalysisManager analyses;
+    const Platform platform(job.hw, job.copts);
     SweepResult r;
     r.name = job.name;
     r.jobIndex = index;
-    r.platform = platform.run(workload, analyses, cache);
+    if (cache == nullptr || !job.recipe) {
+        const Clock::time_point t0 = Clock::now();
+        Workload workload = job.build();
+        const double ir_ms = Ms(Clock::now() - t0).count();
+        r.platform = platform.run(workload, analyses, cache);
+        r.platform.jobStats.set("job.ir.ms", ir_ms);
+        return r;
+    }
+
+    // Recipe path: a memo hit builds no IR and reads the shared
+    // snapshot in place; a miss is the ordinary path above, recorded in
+    // the memo for the next job of this recipe.
+    Compiler compiler = platform.makeCompiler();
+    const RecipeKey key{*job.recipe, middleEndPresetHash(compiler.options())};
+    std::optional<Workload> workload;
+    WorkloadInfo info;
+    double ir_ms = 0;
+    const Clock::time_point t0 = Clock::now();
+    const std::shared_ptr<const MiddleEndSnapshot> snap =
+        cache->getOrBuildRecipe(
+            key,
+            [&] {
+                const Clock::time_point b0 = Clock::now();
+                workload.emplace(job.build());
+                ir_ms = Ms(Clock::now() - b0).count();
+                RecipeMemo memo;
+                compiler.compileMiddle(workload->program, analyses, cache,
+                                       &memo.snapshot);
+                memo.info = *workload;
+                return memo;
+            },
+            &info);
+    if (snap != nullptr)
+        compiler.adoptSnapshot(*snap);
+    const double middle_ms = Ms(Clock::now() - t0).count() - ir_ms;
+    r.platform = snap != nullptr
+                     ? platform.runBack(compiler, snap->optimized, info,
+                                        analyses)
+                     : platform.runBack(compiler, workload->program,
+                                        *workload, analyses);
     r.platform.jobStats.set("job.ir.ms", ir_ms);
+    r.platform.jobStats.set("job.middle.ms", middle_ms);
     return r;
 }
-
-/**
- * Mutable state of one stage-pipelined job, alive from its IR-build
- * task to its simulate task. Stages chain strictly (each submits the
- * next when it finishes), so no synchronization beyond the pool queue
- * is needed; each job owns a private `AnalysisManager` because
- * consecutive stages may land on different workers.
- */
-struct StagedJob
-{
-    std::optional<Workload> workload;
-    std::optional<Platform> platform;
-    std::optional<Compiler> compiler;
-    AnalysisManager analyses;
-    MachineProgram mp;
-    double irMs = 0;
-    double middleMs = 0;
-    double backendMs = 0;
-};
 
 /** Accumulates one value into `<key>.{sum,min,max,count}`. */
 void
@@ -101,13 +124,10 @@ SweepEngine::runAll()
 
     const size_t want = threads();
     if (want <= 1 || jobs_.size() <= 1) {
-        // Serial path: submission order on the calling thread, one
-        // shared analysis manager (sound: caches key on program uid).
+        // Serial path: submission order on the calling thread.
         workers_used_ = 1;
-        AnalysisManager analyses;
         for (size_t i = 0; i < jobs_.size(); ++i)
-            results_[i] =
-                runJob(jobs_[i], i, analyses, opts_.compileCache);
+            results_[i] = runJob(jobs_[i], i, opts_.compileCache);
     } else {
         const size_t n_workers = std::min(want, jobs_.size());
         workers_used_ = n_workers;
@@ -118,93 +138,15 @@ SweepEngine::runAll()
             owned.emplace(n_workers);
             pool = &*owned;
         }
-        if (!opts_.pipelineStages || opts_.pool != nullptr) {
-            // Per-worker analysis managers: caching without locking.
-            // Workers write disjoint result slots, so the only
-            // synchronization is the pool's queue and the group wait
-            // barrier. One extra manager slot for the calling thread:
-            // `Group::wait` helps run queued tasks inline, and inline
-            // tasks on an external thread report index
-            // `threadCount()`.
-            std::vector<AnalysisManager> analyses(pool->threadCount() + 1);
-            ThreadPool::Group group(*pool);
-            for (size_t i = 0; i < jobs_.size(); ++i) {
-                group.submit([this, i, &analyses](size_t worker) {
-                    results_[i] = runJob(jobs_[i], i, analyses[worker],
-                                         opts_.compileCache);
-                });
-            }
-            group.wait();
-        } else {
-            // Stage-pipelined: each job is four chained tasks. A stage
-            // submits its successor on completion, so job A's simulate
-            // overlaps job B's back end; `pool.wait()` returns only
-            // once every chain has run to its end (chained submissions
-            // keep the pool busy).
-            std::vector<StagedJob> staged(jobs_.size());
-            for (size_t i = 0; i < jobs_.size(); ++i) {
-                pool->submit([this, i, &staged, pool](size_t) {
-                    const SweepJob &job = jobs_[i];
-                    EFFACT_ASSERT(job.build != nullptr,
-                                  "sweep job '%s' has no workload",
-                                  job.name.c_str());
-                    StagedJob &st = staged[i];
-                    const Clock::time_point t0 = Clock::now();
-                    st.workload.emplace(job.build());
-                    st.irMs = Ms(Clock::now() - t0).count();
-
-                    pool->submit([this, i, &staged, pool](size_t) {
-                        const SweepJob &job = jobs_[i];
-                        StagedJob &st = staged[i];
-                        st.platform.emplace(job.hw, job.copts);
-                        st.compiler.emplace(st.platform->makeCompiler());
-                        const Clock::time_point t0 = Clock::now();
-                        st.compiler->compileMiddle(st.workload->program,
-                                                   st.analyses,
-                                                   opts_.compileCache);
-                        st.middleMs = Ms(Clock::now() - t0).count();
-
-                        pool->submit([this, i, &staged, pool](size_t) {
-                            StagedJob &st = staged[i];
-                            const Clock::time_point t0 = Clock::now();
-                            st.mp = st.compiler->compileBack(
-                                st.workload->program, st.analyses);
-                            st.backendMs = Ms(Clock::now() - t0).count();
-
-                            pool->submit([this, i, &staged](size_t) {
-                                StagedJob &st = staged[i];
-                                const Clock::time_point t0 = Clock::now();
-                                SimReport rep =
-                                    st.platform->simulate(st.mp);
-                                const double sim_ms =
-                                    Ms(Clock::now() - t0).count();
-                                SweepResult &r = results_[i];
-                                r.name = jobs_[i].name;
-                                r.jobIndex = i;
-                                r.platform = st.platform->assemble(
-                                    *st.compiler, st.mp, *st.workload,
-                                    std::move(rep));
-                                r.platform.jobStats.set("job.ir.ms",
-                                                        st.irMs);
-                                r.platform.jobStats.set("job.middle.ms",
-                                                        st.middleMs);
-                                r.platform.jobStats.set("job.backend.ms",
-                                                        st.backendMs);
-                                r.platform.jobStats.set("job.sim.ms",
-                                                        sim_ms);
-                                // Release the job's working set early:
-                                // a big grid holds N IR programs
-                                // otherwise.
-                                st.workload.reset();
-                                st.compiler.reset();
-                                st.mp = MachineProgram();
-                            });
-                        });
-                    });
-                });
-            }
-            pool->wait();
+        // Workers write disjoint result slots, so the only
+        // synchronization is the pool's queue and the group barrier.
+        ThreadPool::Group group(*pool);
+        for (size_t i = 0; i < jobs_.size(); ++i) {
+            group.submit([this, i](size_t) {
+                results_[i] = runJob(jobs_[i], i, opts_.compileCache);
+            });
         }
+        group.wait();
     }
 
     // Aggregates from the ordered results on the calling thread:

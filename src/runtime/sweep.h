@@ -3,22 +3,24 @@
  * Batch-execution engine: submit N (workload, hardware, compiler
  * options) jobs, compile and simulate them concurrently on a fixed-size
  * `ThreadPool`, and collect results in deterministic submission order.
- * Every worker owns a private `AnalysisManager`, so analysis caching
+ * Every job owns a private `AnalysisManager`, so analysis caching
  * needs no locking. Cross-job reuse is the (opt-in) shared
  * `CompileCache`: keyed on program *content* plus the compiler preset
  * — not process-local ids — it deduplicates the hardware-independent
  * middle end across jobs, so a preset x hardware grid optimizes each
- * (workload, preset) once. Each job is pure given its inputs, and
- * cache entries are immutable single-flight snapshots, so results —
- * simulated cycles, machine-code fingerprints, stat aggregates — are
- * byte-identical at any thread count and any hit pattern. `threads = 1`
- * is the serial path: jobs run in submission order on the calling
- * thread with no pool.
+ * (workload, preset) once; jobs that carry a recipe also skip their IR
+ * build and read the cached snapshot in place. Each job is pure given
+ * its inputs, and cache entries are immutable single-flight snapshots,
+ * so results — simulated cycles, machine-code fingerprints, stat
+ * aggregates — are byte-identical at any thread count and any hit
+ * pattern. `threads = 1` is the serial path: jobs run in submission
+ * order on the calling thread with no pool.
  */
 #ifndef EFFACT_RUNTIME_SWEEP_H
 #define EFFACT_RUNTIME_SWEEP_H
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,18 @@ struct SweepJob
      *  from any thread — build the IR inside, don't capture shared
      *  mutable state. */
     std::function<Workload()> build;
+    /**
+     * Optional recipe hash, for a `build` whose workload is a pure
+     * function of a small recipe (the service's `WorkloadRecipe`: the
+     * workload kind, every `FheParams` field and the kind's parameter):
+     * equal hashes must build equal workloads. With a shared cache the
+     * engine memoizes (recipe, preset) to the published snapshot, so a
+     * later job of the same recipe at any hardware point builds no IR
+     * and runs its back end on the shared snapshot without copying it
+     * (`job.ir.ms` is then 0 and `job.middle.ms` is the memo lookup).
+     * Unset = build every time (fig11 grids, tests).
+     */
+    std::optional<uint64_t> recipe;
     HardwareConfig hw;
     CompilerOptions copts;
 };
@@ -58,7 +72,7 @@ struct SweepOptions
      * Opt-in shared compile cache: when set, every job's compile
      * consults it, so the hardware-independent middle end runs once per
      * (workload, preset) key instead of once per job. The store is
-     * sharded, mutex-protected and single-flight; per-worker
+     * sharded, mutex-protected and single-flight; per-job
      * `AnalysisManager`s stay lock-free. Results are byte-identical to
      * an uncached run at any thread count and any hit pattern. The
      * caller owns the cache (it may outlive the engine and be shared
@@ -75,17 +89,6 @@ struct SweepOptions
      */
     int verifyLevel = -1;
     /**
-     * Stage-pipelined execution: run each job as four chained pool
-     * tasks (IR build -> middle end -> back end -> simulate) instead of
-     * one monolithic task, so job A's simulation overlaps job B's back
-     * end even when the grid is small relative to the worker count.
-     * Results (and their order) are identical to the monolithic mode;
-     * only host scheduling changes. Ignored on the serial path
-     * (`threads <= 1`), where stages would chain on one thread anyway,
-     * and with an external `pool` (see below).
-     */
-    bool pipelineStages = false;
-    /**
      * Caller-owned worker pool: when set, the parallel path runs its
      * job tasks as a `ThreadPool::Group` on this pool instead of
      * constructing a private one — the long-lived-service shape, where
@@ -95,9 +98,7 @@ struct SweepOptions
      * concurrency appetite but the pool's own width is what actually
      * bounds parallelism. Results are byte-identical to a private
      * pool of any size (worker scheduling is never observable).
-     * `pipelineStages` is ignored with an external pool (stage
-     * chaining is wired to private-pool draining); the monolithic
-     * per-job tasks are used instead. Ignored on the serial path.
+     * Ignored on the serial path.
      */
     ThreadPool *pool = nullptr;
 };

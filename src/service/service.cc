@@ -130,25 +130,56 @@ validateRequest(const ServiceRequest &req, std::string *error)
     return true;
 }
 
-std::function<Workload()>
-makeWorkloadBuild(const ServiceRequest &req)
+WorkloadRecipe
+workloadRecipe(const ServiceRequest &req)
 {
-    const FheParams fhe = req.fhe;
-    if (req.workload == "dblookup") {
+    return {req.workload, req.fhe, req.param};
+}
+
+uint64_t
+recipeHash(const WorkloadRecipe &recipe)
+{
+    static_assert(sizeof(FheParams) == 4 * sizeof(size_t),
+                  "a new FheParams field must be mixed in below");
+    uint64_t h = 14695981039346656037ULL; // FNV-1a offset basis
+    auto mixByte = [&h](unsigned char byte) {
+        h ^= byte;
+        h *= 1099511628211ULL;
+    };
+    auto mix = [&mixByte](uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte)
+            mixByte((v >> (byte * 8)) & 0xff);
+    };
+    mix(recipe.workload.size());
+    for (char c : recipe.workload)
+        mixByte(static_cast<unsigned char>(c));
+    mix(recipe.fhe.logN);
+    mix(recipe.fhe.levels);
+    mix(recipe.fhe.dnum);
+    mix(recipe.fhe.lanes);
+    mix(recipe.param);
+    return h;
+}
+
+std::function<Workload()>
+makeWorkloadBuild(const WorkloadRecipe &recipe)
+{
+    const FheParams fhe = recipe.fhe;
+    if (recipe.workload == "dblookup") {
         const size_t records =
-            req.param == 0 ? 256 : static_cast<size_t>(req.param);
+            recipe.param == 0 ? 256 : static_cast<size_t>(recipe.param);
         return [fhe, records] { return buildDbLookup(fhe, records); };
     }
-    if (req.workload == "bootstrap") {
+    if (recipe.workload == "bootstrap") {
         BootstrapBudget budget;
         budget.slots = std::min(budget.slots, fhe.degree() / 2);
         return [fhe, budget] { return buildBootstrapping(fhe, budget); };
     }
-    if (req.workload == "helr")
+    if (recipe.workload == "helr")
         return [fhe] { return buildHelr(fhe); };
-    if (req.workload == "resnet20")
+    if (recipe.workload == "resnet20")
         return [fhe] { return buildResNet20(fhe); };
-    if (req.workload == "tfhe")
+    if (recipe.workload == "tfhe")
         return [] { return buildTfheBootstrap(); };
     return nullptr; // unreachable for validated requests
 }
@@ -241,7 +272,14 @@ ServiceCore::runBatch()
             copts.verifyLevel = int(req.verifyLevel);
         else
             copts.verifyLevel = defaultVerifyLevel();
-        engine.submit(req.name, makeWorkloadBuild(req), req.hw, copts);
+        const WorkloadRecipe recipe = workloadRecipe(req);
+        SweepJob job;
+        job.name = req.name;
+        job.build = makeWorkloadBuild(recipe);
+        job.recipe = recipeHash(recipe);
+        job.hw = req.hw;
+        job.copts = copts;
+        engine.submit(std::move(job));
     }
     const Clock::time_point batch_start = Clock::now();
     const std::vector<SweepResult> &results = engine.runAll();

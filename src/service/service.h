@@ -85,9 +85,30 @@ ServiceOptions oracleOptions(const ServiceOptions &base);
  */
 bool validateRequest(const ServiceRequest &req, std::string *error);
 
-/** The workload factory for a *validated* request (a `SweepJob::build`:
- *  safe to invoke on any worker thread). */
-std::function<Workload()> makeWorkloadBuild(const ServiceRequest &req);
+/**
+ * Everything a request's IR is built from: the workload kind, every
+ * `FheParams` field and the kind's parameter. The IR is a pure function
+ * of it, so `makeWorkloadBuild` and `recipeHash` both read exactly this
+ * struct — a field the builder starts to use is one the hash already
+ * covers.
+ */
+struct WorkloadRecipe
+{
+    std::string workload;
+    FheParams fhe;
+    uint64_t param = 0;
+};
+
+/** The recipe of a request (its workload, fhe and param fields). */
+WorkloadRecipe workloadRecipe(const ServiceRequest &req);
+
+/** FNV-1a over every recipe field: the `SweepJob::recipe` that lets a
+ *  warm request skip its IR build. */
+uint64_t recipeHash(const WorkloadRecipe &recipe);
+
+/** The workload factory for a *validated* request's recipe (a
+ *  `SweepJob::build`: safe to invoke on any worker thread). */
+std::function<Workload()> makeWorkloadBuild(const WorkloadRecipe &recipe);
 
 /**
  * Transport-independent service engine. Not thread-safe: one driver

@@ -5,7 +5,9 @@
  * key (hardware knobs excluded, everything else included), single-
  * flight hit/miss accounting, and the central soundness claim — a
  * cache hit is byte-identical to the uncached compile it replaces,
- * including when the cache is shared across 8 concurrent workers.
+ * including when the cache is shared across 8 concurrent workers — and
+ * the recipe memo in front of it (zero-copy hits, eviction, single
+ * flight, recipe-field separation).
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "compiler/compile_cache.h"
 #include "compiler/pass_manager.h"
 #include "runtime/sweep.h"
+#include "service/service.h"
 
 namespace effact {
 namespace {
@@ -715,6 +718,246 @@ TEST(BoundedLru, SweepWithTinyBudgetMatchesUncachedSerial)
             << plain[i].name;
         EXPECT_EQ(comparableStats(bounded[i].platform.compilerStats),
                   comparableStats(plain[i].platform.compilerStats))
+            << plain[i].name;
+    }
+}
+
+// --- Recipe memo -----------------------------------------------------------
+
+/** A memo build that publishes `synthSnapshot(i)` under `synthKey(i)`
+ *  and records it, counting its runs. */
+std::function<RecipeMemo()>
+synthRecipeBuild(CompileCache &cache, uint64_t i, std::atomic<int> &builds)
+{
+    return [&cache, i, &builds] {
+        ++builds;
+        cache.getOrBuild(synthKey(i), [i] { return synthSnapshot(i); });
+        RecipeMemo memo;
+        memo.snapshot = synthKey(i);
+        memo.info.repeat = double(i);
+        return memo;
+    };
+}
+
+TEST(RecipeMemo, SecondRequestHitsWithoutBuilding)
+{
+    CompileCache cache;
+    std::atomic<int> builds{0};
+    const RecipeKey key{42, 0x5eed};
+    WorkloadInfo info;
+    EXPECT_EQ(cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
+                                     &info),
+              nullptr);
+    const std::shared_ptr<const MiddleEndSnapshot> snap =
+        cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
+                               &info);
+    ASSERT_NE(snap, nullptr);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(snap->stats.get("synthetic.id"), 3.0);
+    EXPECT_EQ(info.repeat, 3.0);
+
+    // The memo hit counts like a snapshot hit, plus its own counter.
+    const StatSet cs = cache.statsSnapshot();
+    EXPECT_EQ(cs.get("cache.lookups"), 2.0);
+    EXPECT_EQ(cs.get("cache.hits"), 1.0);
+    EXPECT_EQ(cs.get("cache.misses"), 1.0);
+    EXPECT_EQ(cs.get("cache.frontend_skipped"), 1.0);
+    EXPECT_EQ(cs.get("cache.recipe_hits"), 1.0);
+
+    // Another preset half is another memo entry.
+    EXPECT_EQ(cache.getOrBuildRecipe({42, 0xbeef},
+                                     synthRecipeBuild(cache, 3, builds),
+                                     &info),
+              nullptr);
+    EXPECT_EQ(builds.load(), 2);
+
+    // clear() drops the memo along with the snapshots.
+    cache.clear();
+    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 0.0);
+    EXPECT_EQ(cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
+                                     &info),
+              nullptr);
+    EXPECT_EQ(builds.load(), 3);
+}
+
+TEST(RecipeMemo, EvictedSnapshotRebuildsAndMemoNeverHoldsIt)
+{
+    // Budget below one entry: the snapshot is evicted right after it
+    // is published, and the memo (which holds only its key) must not
+    // serve it again — the next request rebuilds.
+    const size_t entry = snapshotBytes(synthSnapshot(0));
+    CompileCache cache(entry / 2);
+    std::atomic<int> builds{0};
+    const RecipeKey key{7, 0x5eed};
+    WorkloadInfo info;
+    for (int round = 0; round < 3; ++round)
+        EXPECT_EQ(cache.getOrBuildRecipe(
+                      key, synthRecipeBuild(cache, 1, builds), &info),
+                  nullptr)
+            << round;
+    EXPECT_EQ(builds.load(), 3);
+    const StatSet cs = cache.statsSnapshot();
+    EXPECT_EQ(cs.get("cache.misses"), 3.0);
+    EXPECT_EQ(cs.get("cache.recipe_hits"), 0.0);
+    EXPECT_EQ(cs.get("cache.entries"), 0.0);
+}
+
+TEST(RecipeMemo, StaleEntriesArePrunedUnderABudget)
+{
+    // A budget of one snapshot and 200 distinct recipes: the memo must
+    // not keep an entry per recipe ever seen, only ones it can serve
+    // (plus slack up to the next prune).
+    const size_t entry = snapshotBytes(synthSnapshot(0));
+    CompileCache cache(entry);
+    std::atomic<int> builds{0};
+    WorkloadInfo info;
+    for (uint64_t r = 0; r < 200; ++r)
+        cache.getOrBuildRecipe({r, 0x5eed},
+                               synthRecipeBuild(cache, r, builds), &info);
+    EXPECT_EQ(builds.load(), 200);
+    EXPECT_LE(cache.statsSnapshot().get("cache.recipe_entries"), 64.0);
+    // The one recipe whose snapshot is still stored is still served.
+    EXPECT_NE(cache.getOrBuildRecipe({199, 0x5eed},
+                                     synthRecipeBuild(cache, 199, builds),
+                                     &info),
+              nullptr);
+    EXPECT_EQ(builds.load(), 200);
+}
+
+TEST(RecipeMemo, SingleFlightUnderContention)
+{
+    // Eight threads request one recipe at once: one build, seven memo
+    // hits, every requester served the same snapshot.
+    CompileCache cache;
+    std::atomic<int> builds{0};
+    std::vector<std::thread> threads;
+    std::atomic<int> hits{0};
+    for (int t = 0; t < 8; ++t)
+        threads.emplace_back([&] {
+            WorkloadInfo info;
+            const auto slow_build = [&cache, &builds] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                return synthRecipeBuild(cache, 5, builds)();
+            };
+            const auto snap =
+                cache.getOrBuildRecipe({9, 0x5eed}, slow_build, &info);
+            if (snap != nullptr) {
+                EXPECT_EQ(snap->stats.get("synthetic.id"), 5.0);
+                EXPECT_EQ(info.repeat, 5.0);
+                ++hits;
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(hits.load(), 7);
+    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 7.0);
+    EXPECT_EQ(cache.statsSnapshot().get("cache.lookups"), 8.0);
+}
+
+TEST(RecipeMemo, RequestsDifferingInOneRecipeFieldNeverShareAnEntry)
+{
+    // Each variant changes exactly one recipe field of the base
+    // request; none may be served from another's memo entry.
+    ServiceRequest base;
+    base.workload = "dblookup";
+    base.fhe = smallFhe();
+    base.param = 32;
+    base.hw = HardwareConfig::asicEffact27();
+    base.copts = Platform::fullOptions(base.hw.sramBytes);
+    base.verifyLevel = 0;
+    std::vector<ServiceRequest> variants(5, base);
+    variants[1].fhe.levels += 1;
+    variants[2].fhe.dnum += 2;
+    variants[3].fhe.lanes /= 2;
+    variants[4].param += 1;
+
+    std::vector<uint64_t> hashes;
+    for (const ServiceRequest &req : variants)
+        hashes.push_back(recipeHash(workloadRecipe(req)));
+    for (size_t i = 0; i < hashes.size(); ++i)
+        for (size_t j = i + 1; j < hashes.size(); ++j)
+            EXPECT_NE(hashes[i], hashes[j]) << i << " vs " << j;
+
+    ServiceOptions opts;
+    opts.threads = 1;
+    ServiceCore core(opts);
+    for (const ServiceRequest &req : variants)
+        core.submit(req);
+    core.flush();
+    EXPECT_EQ(core.statsSnapshot().get("cache.recipe_hits"), 0.0);
+
+    // Resubmitted at another SRAM size, each variant hits its own entry
+    // and matches its own uncached compile.
+    ServiceCore oracle(oracleOptions(opts));
+    for (ServiceRequest req : variants) {
+        req.hw.sramBytes = size_t(13) << 20;
+        core.submit(req);
+        oracle.submit(req);
+    }
+    std::vector<ServiceResult> hit = core.flush();
+    std::vector<ServiceResult> ref = oracle.flush();
+    EXPECT_EQ(core.statsSnapshot().get("cache.recipe_hits"),
+              double(variants.size()));
+    ASSERT_EQ(hit.size(), ref.size());
+    for (size_t i = 0; i < hit.size(); ++i) {
+        hit[i].seq = ref[i].seq = 0; // the cores numbered differently
+        EXPECT_EQ(canonicalResultBytes(hit[i]), canonicalResultBytes(ref[i]))
+            << "variant " << i;
+    }
+}
+
+TEST(RecipeMemo, SerialRecipeJobsKeepUncachedAnalysisStats)
+{
+    // Three jobs of one recipe in the serial engine: the second and
+    // third read the first's snapshot in place (one shared uid), yet
+    // every job's `analysis.*` counts — and all its other compiler
+    // stats — equal the uncached compile's.
+    auto grid = [] {
+        std::vector<SweepJob> jobs;
+        for (size_t mb : {27, 13, 54}) {
+            SweepJob job;
+            job.name = "sram" + std::to_string(mb);
+            job.build = [] { return buildDbLookup(smallFhe(), 48); };
+            job.recipe = 0xdb48;
+            job.hw = HardwareConfig::asicEffact27();
+            job.hw.sramBytes = mb << 20;
+            job.copts = Platform::fullOptions(job.hw.sramBytes);
+            jobs.push_back(std::move(job));
+        }
+        return jobs;
+    };
+    SweepEngine uncached({1});
+    for (SweepJob &job : grid())
+        uncached.submit(std::move(job));
+    const std::vector<SweepResult> &plain = uncached.runAll();
+
+    CompileCache cache;
+    SweepEngine engine({1, &cache});
+    for (SweepJob &job : grid())
+        engine.submit(std::move(job));
+    const std::vector<SweepResult> &memo = engine.runAll();
+    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 2.0);
+
+    ASSERT_EQ(memo.size(), plain.size());
+    for (size_t i = 0; i < plain.size(); ++i) {
+        const StatSet &got = memo[i].platform.compilerStats;
+        const StatSet &want = plain[i].platform.compilerStats;
+        size_t analysis_keys = 0;
+        for (const auto &[key, value] : want.all()) {
+            if (key.rfind("analysis.", 0) != 0)
+                continue;
+            ++analysis_keys;
+            EXPECT_EQ(got.get(key), value) << plain[i].name << " " << key;
+        }
+        EXPECT_GT(analysis_keys, 0u);
+        EXPECT_EQ(comparableStats(got), comparableStats(want))
+            << plain[i].name;
+        EXPECT_EQ(memo[i].platform.machineFingerprint,
+                  plain[i].platform.machineFingerprint)
+            << plain[i].name;
+        EXPECT_DOUBLE_EQ(memo[i].platform.sim.cycles,
+                         plain[i].platform.sim.cycles)
             << plain[i].name;
     }
 }

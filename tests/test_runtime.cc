@@ -540,7 +540,7 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
     EXPECT_GT(results[0].platform.sim.cycles, 0.0);
 }
 
-// --- Stage pipelining and external pools ----------------------------------
+// --- Verified, cached and external-pool sweeps -----------------------------
 
 /** The serial oracle for a grid, with a forced verify level. */
 std::vector<SweepResult>
@@ -578,32 +578,35 @@ expectSameResults(const std::vector<SweepResult> &got,
     }
 }
 
-TEST(SweepEngine, PipelinedStagesMatchMonolithic)
+TEST(SweepEngine, EveryJobReportsEveryStageTiming)
 {
-    // Stage-pipelined execution only changes host scheduling, never
-    // results or aggregates.
+    // Each job reports all four per-stage wall-clock keys, so the
+    // aggregate counts are one per job — uncached and with a shared
+    // cache alike.
     const std::vector<SweepJob> jobs = smallGrid();
-    const std::vector<SweepResult> oracle = serialOracle(jobs);
-    SweepOptions o;
-    o.threads = 4;
-    o.pipelineStages = true;
-    SweepEngine engine(o);
-    for (const SweepJob &job : jobs)
-        engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "pipelined");
-    // Per-stage wall-clock stats exist for every job.
-    const StatSet &agg = engine.aggregates();
-    for (const char *key :
-         {"job.ir.ms.count", "job.middle.ms.count", "job.backend.ms.count",
-          "job.sim.ms.count"})
-        EXPECT_EQ(agg.get(key), double(jobs.size())) << key;
+    CompileCache cache;
+    for (CompileCache *shared : {static_cast<CompileCache *>(nullptr),
+                                 &cache}) {
+        SweepOptions o;
+        o.threads = 4;
+        o.compileCache = shared;
+        SweepEngine engine(o);
+        for (const SweepJob &job : jobs)
+            engine.submit(job);
+        engine.runAll();
+        const StatSet &agg = engine.aggregates();
+        for (const char *key :
+             {"job.ir.ms.count", "job.middle.ms.count",
+              "job.backend.ms.count", "job.sim.ms.count"})
+            EXPECT_EQ(agg.get(key), double(jobs.size()))
+                << key << (shared ? " (cached)" : "");
+    }
 }
 
-TEST(SweepEngine, VerifiedPresetSweepPipelined)
+TEST(SweepEngine, VerifiedPresetSweepFourThreads)
 {
-    // All four Fig. 11 presets, fully checkpoint-verified, with stage
-    // pipelining: verifier-clean and equal to the serial verified
-    // oracle.
+    // All four Fig. 11 presets, fully checkpoint-verified, on 4
+    // workers: verifier-clean and equal to the serial verified oracle.
     FheParams fhe;
     fhe.logN = 13;
     fhe.levels = 8;
@@ -628,16 +631,15 @@ TEST(SweepEngine, VerifiedPresetSweepPipelined)
     SweepOptions o;
     o.threads = 4;
     o.verifyLevel = 1;
-    o.pipelineStages = true;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
     expectSameResults(engine.runAll(), oracle, "verified presets");
 }
 
-TEST(SweepEngine, SharedCachePipelinedStaysIdentical)
+TEST(SweepEngine, SharedCacheFourThreadsStaysIdentical)
 {
-    // Shared compile cache + pipelining: snapshots published by one
+    // Shared compile cache on 4 workers: snapshots published by one
     // job's middle end replay bit-identically into the others.
     const std::vector<SweepJob> jobs = smallGrid();
     const std::vector<SweepResult> oracle = serialOracle(jobs);
@@ -645,11 +647,10 @@ TEST(SweepEngine, SharedCachePipelinedStaysIdentical)
     SweepOptions o;
     o.threads = 4;
     o.compileCache = &cache;
-    o.pipelineStages = true;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
-    expectSameResults(engine.runAll(), oracle, "cached+pipelined");
+    expectSameResults(engine.runAll(), oracle, "cached, 4 threads");
     EXPECT_GT(cache.statsSnapshot().get("cache.hits"), 0.0);
 }
 

@@ -559,6 +559,113 @@ TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
     EXPECT_GT(core.statsSnapshot().get("cache.hits"), 0.0);
 }
 
+// --- Recipe memo: the warm-hit zero-copy path --------------------------------
+
+/** A request of `kind` at the smallest parameters its builder runs
+ *  with (toy ones for dblookup and tfhe; the paper-scale kinds need
+ *  logN 13 and enough levels for their bootstrapping), full preset at
+ *  `sram_mb`. */
+ServiceRequest
+minimalRequest(const std::string &kind, size_t sram_mb)
+{
+    const bool paper_scale =
+        kind == "bootstrap" || kind == "helr" || kind == "resnet20";
+    ServiceRequest req;
+    req.name = kind + "/sram" + std::to_string(sram_mb);
+    req.workload = kind;
+    req.fhe.logN = paper_scale ? 13 : 12;
+    req.fhe.levels = kind == "helr" ? 16 : paper_scale ? 18 : 6;
+    req.fhe.dnum = 2;
+    req.param = kind == "dblookup" ? 32 : 0;
+    req.hw = HardwareConfig::asicEffact27();
+    req.hw.sramBytes = sram_mb << 20;
+    req.copts = Platform::fullOptions(req.hw.sramBytes);
+    return req;
+}
+
+/** Canonical bytes of the single result `core` returns for `req`, with
+ *  the core-local sequence number cleared. */
+std::vector<uint8_t>
+serveOne(ServiceCore &core, const ServiceRequest &req)
+{
+    core.submit(req);
+    std::vector<ServiceResult> results = core.flush();
+    EXPECT_EQ(results.size(), 1u);
+    if (results.empty())
+        return {};
+    EXPECT_EQ(results[0].status, ServiceStatus::Ok) << results[0].error;
+    results[0].seq = 0;
+    return canonicalResultBytes(results[0]);
+}
+
+/** A second-batch memo hit of `kind` at another SRAM size must equal,
+ *  byte for byte, both a cold rebuild and the uncached oracle. */
+void
+expectMemoHitMatchesRebuildAndOracle(const char *kind)
+{
+    ServiceOptions opts;
+    opts.threads = 2;
+    // Warm core: the first batch builds the recipe at 27 MB, the second
+    // serves it at 13 MB from the memo.
+    ServiceCore warm(opts);
+    serveOne(warm, minimalRequest(kind, 27));
+    ASSERT_EQ(warm.statsSnapshot().get("cache.recipe_hits"), 0.0) << kind;
+    warm.submit(minimalRequest(kind, 13));
+    std::vector<ServiceResult> hit = warm.flush();
+    ASSERT_EQ(hit.size(), 1u) << kind;
+    EXPECT_EQ(warm.statsSnapshot().get("cache.recipe_hits"), 1.0) << kind;
+    EXPECT_EQ(hit[0].stats.get("job.ir.ms"), 0.0) << kind;
+    EXPECT_EQ(hit[0].stats.get("compile.cache.hit"), 1.0) << kind;
+    hit[0].seq = 0;
+
+    // Rebuild path: a fresh cached core sees the recipe cold.
+    ServiceCore cold(opts);
+    const std::vector<uint8_t> rebuilt =
+        serveOne(cold, minimalRequest(kind, 13));
+    EXPECT_EQ(cold.statsSnapshot().get("cache.recipe_hits"), 0.0) << kind;
+    ServiceCore oracle(oracleOptions(opts));
+    const std::vector<uint8_t> ref =
+        serveOne(oracle, minimalRequest(kind, 13));
+
+    EXPECT_EQ(canonicalResultBytes(hit[0]), rebuilt) << kind;
+    EXPECT_EQ(canonicalResultBytes(hit[0]), ref) << kind;
+}
+
+TEST(RecipeMemo, SmallKindsHitByteIdenticalToRebuildAndOracle)
+{
+    expectMemoHitMatchesRebuildAndOracle("dblookup");
+    expectMemoHitMatchesRebuildAndOracle("tfhe");
+}
+
+// Paper-scale kinds: registered only in the `slow` CTest configuration.
+TEST(SlowRecipeMemo, PaperScaleKindsHitByteIdenticalToRebuildAndOracle)
+{
+    for (const char *kind : {"bootstrap", "helr", "resnet20"})
+        expectMemoHitMatchesRebuildAndOracle(kind);
+}
+
+TEST(RecipeMemo, EvictedSnapshotRebuildsIdentically)
+{
+    // A budget below one snapshot evicts every entry as it publishes:
+    // the memo still names the recipe's snapshot, but must not serve
+    // it — the next request of the recipe rebuilds, counted as a miss.
+    ServiceOptions opts;
+    opts.threads = 2;
+    opts.cacheBytes = 4096;
+    ServiceCore core(opts);
+    serveOne(core, minimalRequest("dblookup", 27));
+    ASSERT_EQ(core.statsSnapshot().get("cache.misses"), 1.0);
+    const std::vector<uint8_t> again =
+        serveOne(core, minimalRequest("dblookup", 13));
+    const StatSet stats = core.statsSnapshot();
+    EXPECT_EQ(stats.get("cache.misses"), 2.0);
+    EXPECT_EQ(stats.get("cache.recipe_hits"), 0.0);
+    EXPECT_EQ(stats.get("cache.evictions"), 2.0);
+
+    ServiceCore oracle(oracleOptions(opts));
+    EXPECT_EQ(again, serveOne(oracle, minimalRequest("dblookup", 13)));
+}
+
 // --- Replay determinism ----------------------------------------------------
 
 /**
