@@ -1,5 +1,8 @@
 #include "ir/kernels.h"
 
+#include <algorithm>
+
+#include "common/bitops.h"
 #include "common/logging.h"
 
 namespace effact {
@@ -364,6 +367,28 @@ KernelBuilder::polyEval(const IrCt &ct, size_t degree, size_t baby, int evk)
     } rec{*this, tk, giant, baby, evk};
 
     return rec.run(degree);
+}
+
+size_t
+KernelBuilder::polyEvalDepth(size_t degree, size_t baby)
+{
+    // Mirrors polyEval's recursion: the baby power T_k sits
+    // ceil(log2 k) rescales deep, the j-th giant power j more.
+    auto powerDepth = [](size_t k) -> size_t {
+        return k <= 1 ? 0 : log2Floor(k - 1) + 1;
+    };
+    if (degree < baby) // constant-multiplied T_1..T_degree
+        return powerDepth(std::max<size_t>(degree, 1)) + 1;
+    size_t big_k = baby;
+    size_t j = 0;
+    while (big_k * 2 <= degree) {
+        big_k *= 2;
+        ++j;
+    }
+    const size_t prod = std::max(polyEvalDepth(degree - big_k, baby),
+                                 powerDepth(baby) + j) +
+                        1;
+    return std::max(prod, polyEvalDepth(big_k - 1, baby));
 }
 
 } // namespace effact

@@ -99,6 +99,11 @@ class KernelBuilder
      */
     IrCt polyEval(const IrCt &ct, size_t degree, size_t baby, int evk);
 
+    /** Levels `polyEval(ct, degree, baby, evk)` consumes: the deepest
+     *  rescale chain through its baby steps, giant squarings and
+     *  recursion. */
+    static size_t polyEvalDepth(size_t degree, size_t baby);
+
     /** ModDown of one accumulated (Q_l ∪ P) polynomial (helper). */
     PolyVal modDown(const PolyVal &acc, size_t level);
 

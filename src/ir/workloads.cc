@@ -1,5 +1,6 @@
 #include "ir/workloads.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bitops.h"
@@ -42,6 +43,28 @@ stageDiags(size_t slots, size_t stages)
     return std::max<size_t>(d, 3);
 }
 
+/** HELR: training iterations per program and the sigmoid polynomial
+ *  (HELR uses a cubic/7th-degree approximation). */
+constexpr size_t kHelrIterations = 2;
+constexpr size_t kHelrSigmoidDegree = 7;
+constexpr size_t kHelrSigmoidBaby = 4;
+
+/** ResNet-20: the level the convolution segment's activations enter
+ *  at, fixed whatever the chain length. */
+constexpr size_t kResNetSegmentLevel = 20;
+
+/** HELR's 256-slot bootstrapping budget (Table III row 2): CtS 3,
+ *  StC 2. */
+BootstrapBudget
+helrBootstrapBudget()
+{
+    BootstrapBudget small;
+    small.slots = 256;
+    small.levelsCtS = 3;
+    small.levelsStC = 2;
+    return small;
+}
+
 /** BSGS baby count ~ sqrt(diags), rounded to a power of two. */
 size_t
 babyFor(size_t diags)
@@ -53,6 +76,37 @@ babyFor(size_t diags)
 }
 
 } // namespace
+
+size_t
+BootstrapBudget::minLevels() const
+{
+    return levelsCtS + 1 +
+           KernelBuilder::polyEvalDepth(sineDegree, babySteps) +
+           levelsStC + 1;
+}
+
+size_t
+helrMinLevels()
+{
+    // The weights enter one level below the top; each iteration takes
+    // them through the X*w transform, the sigmoid and the learning-rate
+    // rescale. The bootstrap re-enters at the top of the chain.
+    const size_t iteration =
+        1 + KernelBuilder::polyEvalDepth(kHelrSigmoidDegree,
+                                         kHelrSigmoidBaby) +
+        1;
+    return std::max(1 + kHelrIterations * iteration + 1,
+                    helrBootstrapBudget().minLevels());
+}
+
+size_t
+resNet20MinLevels()
+{
+    // The convolution segment's input must lie within the chain (above
+    // it, its key switches index past the key objects); it consumes
+    // fewer levels than it starts with.
+    return std::max(kResNetSegmentLevel, BootstrapBudget().minLevels());
+}
 
 Workload
 buildBootstrapping(const FheParams &fhe, const BootstrapBudget &budget)
@@ -121,7 +175,7 @@ buildHelr(const FheParams &fhe)
     int gk = kb.switchingKeyObject("galois_keys");
 
     IrCt weights = kb.inputCiphertext("weights", fhe.levels - 1);
-    for (int iter = 0; iter < 2; ++iter) {
+    for (size_t iter = 0; iter < kHelrIterations; ++iter) {
         IrCt x = kb.inputCiphertext("batch_" + std::to_string(iter),
                                     weights.level);
         // z = X*w: one BSGS matmul over the 256-slot batch.
@@ -129,8 +183,7 @@ buildHelr(const FheParams &fhe)
                                      static_cast<int>(16 * x.level));
         IrCt z = kb.linearTransform(kb.hmult(x, weights, evk), 16, 4,
                                     xw_diag, gk);
-        // Sigmoid: degree-7 polynomial (HELR uses a cubic/7th approx).
-        IrCt sig = kb.polyEval(z, 7, 4, evk);
+        IrCt sig = kb.polyEval(z, kHelrSigmoidDegree, kHelrSigmoidBaby, evk);
         // Gradient: X^T * sig via log2(256) rotation-accumulate steps.
         IrCt grad = kb.hmult(sig, x, evk);
         for (int s = 0; s < 8; ++s)
@@ -140,13 +193,7 @@ buildHelr(const FheParams &fhe)
         weights = kb.hadd(kb.rescale(kb.multImm(weights, 17)), scaled);
     }
 
-    // 256-slot bootstrapping budget (Table III row 2): CtS 3, StC 2.
-    BootstrapBudget small;
-    small.slots = 256;
-    small.levelsCtS = 3;
-    small.levelsStC = 2;
-    small.sineDegree = 255;
-    small.babySteps = 16;
+    const BootstrapBudget small = helrBootstrapBudget();
 
     // Re-enter the bootstrap pipeline on the (now low-level) weights.
     KernelBuilder kb2(w.program, fhe);
@@ -190,7 +237,7 @@ buildResNet20(const FheParams &fhe)
     int evk = kb.switchingKeyObject("relin_key");
     int gk = kb.switchingKeyObject("galois_keys");
 
-    IrCt act = kb.inputCiphertext("activations", 20);
+    IrCt act = kb.inputCiphertext("activations", kResNetSegmentLevel);
     for (int layer = 0; layer < 2; ++layer) {
         int conv_diag = kb.plainObject(
             "conv_diag_" + std::to_string(layer),
@@ -199,9 +246,7 @@ buildResNet20(const FheParams &fhe)
         act = kb.polyEval(act, 27, 8, evk); // ReLU approximation
     }
 
-    BootstrapBudget full;
-    full.levelsCtS = 4;
-    full.levelsStC = 3;
+    const BootstrapBudget full; // Table III row 1: CtS 4, StC 3
     KernelBuilder kb2(w.program, fhe);
     IrCt raised = emitModRaise(kb2, "act_boot");
     const size_t cts_diags = stageDiags(full.slots, full.levelsCtS);

@@ -40,6 +40,15 @@ struct BootstrapBudget
     size_t levelsStC = 3;
     size_t sineDegree = 255;
     size_t babySteps = 16;
+
+    /**
+     * Fewest `FheParams::levels` this bootstrapping runs with: one more
+     * than the levels it consumes from the top of the modulus chain (a
+     * rescale per CtS and StC stage, the EvalMod input scaling, the
+     * sine polynomial's depth), since a rescale needs level >= 2. Below
+     * it the builder panics (`cannot rescale at level 1`).
+     */
+    size_t minLevels() const;
 };
 
 /** Fully-packed CKKS bootstrapping (Table III row 1). */
@@ -75,6 +84,12 @@ Workload buildTfheBootstrap();
  */
 Workload buildRotationBatch(const FheParams &fhe, size_t chains = 4,
                             size_t hops = 8);
+
+/** `BootstrapBudget::minLevels` for the HELR and ResNet-20 builders:
+ *  one more than their deepest rescale chain, and for ResNet-20 at
+ *  least the fixed level its convolution segment starts at. */
+size_t helrMinLevels();
+size_t resNet20MinLevels();
 
 /** Emits the ModRaise data movement + broadcast NTTs. */
 IrCt emitModRaise(KernelBuilder &kb, const std::string &name);

@@ -1,9 +1,12 @@
 #include "runtime/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <optional>
+#include <thread>
 
 #include "common/logging.h"
 #include "compiler/pass_manager.h"
@@ -94,6 +97,22 @@ accumulate(StatSet &agg, const std::string &key, double value)
 } // namespace
 
 size_t
+defaultThreadCount()
+{
+    if (const char *env = std::getenv("EFFACT_THREADS")) {
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && v > 0)
+            return static_cast<size_t>(v);
+        warn("ignoring invalid EFFACT_THREADS='%s' (want a positive "
+             "integer)",
+             env);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
+size_t
 SweepEngine::submit(SweepJob job)
 {
     EFFACT_ASSERT(!ran_, "submit after runAll");
@@ -122,32 +141,26 @@ SweepEngine::runAll()
     ran_ = true;
     results_.resize(jobs_.size());
 
-    const size_t want = threads();
-    if (want <= 1 || jobs_.size() <= 1) {
-        // Serial path: submission order on the calling thread.
-        workers_used_ = 1;
-        for (size_t i = 0; i < jobs_.size(); ++i)
+    // One fork-join: spawned workers and the calling thread claim job
+    // indices from one counter and write disjoint result slots; the
+    // joins are the only other synchronization. With no worker spawned
+    // the caller runs every job in submission order.
+    const size_t spawn = threads() > 1 && jobs_.size() > 1
+                             ? std::min(threads(), jobs_.size())
+                             : 0;
+    workers_used_ = std::max<size_t>(spawn, 1);
+    std::atomic<size_t> next{0};
+    auto drain = [this, &next] {
+        for (size_t i = next++; i < jobs_.size(); i = next++)
             results_[i] = runJob(jobs_[i], i, opts_.compileCache);
-    } else {
-        const size_t n_workers = std::min(want, jobs_.size());
-        workers_used_ = n_workers;
-        // An external pool arrives pre-sized by its owner.
-        std::optional<ThreadPool> owned;
-        ThreadPool *pool = opts_.pool;
-        if (pool == nullptr) {
-            owned.emplace(n_workers);
-            pool = &*owned;
-        }
-        // Workers write disjoint result slots, so the only
-        // synchronization is the pool's queue and the group barrier.
-        ThreadPool::Group group(*pool);
-        for (size_t i = 0; i < jobs_.size(); ++i) {
-            group.submit([this, i](size_t) {
-                results_[i] = runJob(jobs_[i], i, opts_.compileCache);
-            });
-        }
-        group.wait();
-    }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(spawn);
+    for (size_t w = 0; w < spawn; ++w)
+        workers.emplace_back(drain);
+    drain();
+    for (std::thread &worker : workers)
+        worker.join();
 
     // Aggregates from the ordered results on the calling thread:
     // deterministic accumulation order regardless of worker timing.

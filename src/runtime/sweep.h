@@ -1,8 +1,14 @@
 /**
  * @file
  * Batch-execution engine: submit N (workload, hardware, compiler
- * options) jobs, compile and simulate them concurrently on a fixed-size
- * `ThreadPool`, and collect results in deterministic submission order.
+ * options) jobs, compile and simulate them concurrently with one
+ * fork-join per `runAll()`, and collect results in deterministic
+ * submission order. The fork-join spawns `min(threads, jobs)` plain
+ * `std::thread` workers (none when `threads` or the job count is 1)
+ * and the calling thread drains job indices from the same atomic
+ * counter alongside them, so up to `threads + 1` jobs run at once;
+ * workers write disjoint result slots and are joined before
+ * `runAll()` returns.
  * Every job owns a private `AnalysisManager`, so analysis caching
  * needs no locking. Cross-job reuse is the (opt-in) shared
  * `CompileCache`: keyed on program *content* plus the compiler preset
@@ -13,8 +19,8 @@
  * its inputs, and cache entries are immutable single-flight snapshots,
  * so results — simulated cycles, machine-code fingerprints, stat
  * aggregates — are byte-identical at any thread count and any hit
- * pattern. `threads = 1` is the serial path: jobs run in submission
- * order on the calling thread with no pool.
+ * pattern. `threads = 1` is the same loop with no worker spawned:
+ * jobs run in submission order on the calling thread.
  */
 #ifndef EFFACT_RUNTIME_SWEEP_H
 #define EFFACT_RUNTIME_SWEEP_H
@@ -26,9 +32,15 @@
 
 #include "compiler/compile_cache.h"
 #include "platform/platform.h"
-#include "runtime/thread_pool.h"
 
 namespace effact {
+
+/**
+ * Worker-count default for batch runs: the `EFFACT_THREADS` environment
+ * variable when set to a positive integer, otherwise the hardware
+ * concurrency (at least 1). `EFFACT_THREADS=1` selects the serial path.
+ */
+size_t defaultThreadCount();
 
 /** One batch job: how to build the workload and where to run it. */
 struct SweepJob
@@ -37,7 +49,8 @@ struct SweepJob
     /** Workload factory, invoked on the executing worker (program
      *  construction is part of the parallel work). Must be safe to call
      *  from any thread — build the IR inside, don't capture shared
-     *  mutable state. */
+     *  mutable state — and must not throw: errors go through
+     *  `panic`/`fatal`, which abort the process from any thread. */
     std::function<Workload()> build;
     /**
      * Optional recipe hash, for a `build` whose workload is a pure
@@ -66,7 +79,12 @@ struct SweepResult
 /** Engine knobs. */
 struct SweepOptions
 {
-    /** Worker count; 1 = serial on the calling thread (no pool). */
+    /**
+     * Spawned-worker count (0 is floored to 1). Above 1, `runAll()`
+     * spawns `min(threads, jobs)` workers and the calling thread runs
+     * jobs alongside them, so a batch runs up to `threads + 1` jobs at
+     * once; 1 = no worker, jobs run serially on the calling thread.
+     */
     size_t threads = 1;
     /**
      * Opt-in shared compile cache: when set, every job's compile
@@ -88,19 +106,6 @@ struct SweepOptions
      * job's options.
      */
     int verifyLevel = -1;
-    /**
-     * Caller-owned worker pool: when set, the parallel path runs its
-     * job tasks as a `ThreadPool::Group` on this pool instead of
-     * constructing a private one — the long-lived-service shape, where
-     * one fixed pool serves every batch and pool construction cost /
-     * thread churn per batch would be wrong. The engine neither sizes
-     * nor shuts the pool down; `threads` still caps this batch's
-     * concurrency appetite but the pool's own width is what actually
-     * bounds parallelism. Results are byte-identical to a private
-     * pool of any size (worker scheduling is never observable).
-     * Ignored on the serial path.
-     */
-    ThreadPool *pool = nullptr;
 };
 
 /**
@@ -122,8 +127,9 @@ class SweepEngine
                   HardwareConfig hw, CompilerOptions copts);
 
     /**
-     * Runs every submitted job (concurrently when `threads > 1`) and
-     * returns the results in submission order. One-shot per engine.
+     * Runs every submitted job (concurrently when `threads > 1`: the
+     * spawned workers plus the calling thread) and returns the results
+     * in submission order. One-shot per engine.
      */
     const std::vector<SweepResult> &runAll();
 
@@ -146,10 +152,10 @@ class SweepEngine
     /** Requested worker count (the `SweepOptions` knob, floored at 1) */
     size_t threads() const { return opts_.threads == 0 ? 1 : opts_.threads; }
 
-    /** Workers actually used by `runAll()` — the request clamped to the
-     *  job count (1 before the run). This is what `sweep.threads`
-     *  reports, so per-worker throughput math has the right
-     *  denominator. */
+    /** Workers spawned by `runAll()` — the request clamped to the job
+     *  count, or 1 on the serial path (and before the run); the calling
+     *  thread runs jobs too and is not counted. This is what
+     *  `sweep.threads` reports. */
     size_t workersUsed() const { return workers_used_; }
 
   private:

@@ -79,15 +79,21 @@ validateRequest(const ServiceRequest &req, std::string *error)
         req.workload != "tfhe")
         return fail("unknown workload kind '" + req.workload + "'");
     // Scheme parameters. The paper-scale builders (bootstrapping and
-    // the benchmarks embedding it) assume realistic CKKS parameters;
-    // the small kinds (dblookup, tfhe) accept toy ones.
+    // the benchmarks embedding it) assume realistic CKKS parameters and
+    // need the levels their rescale chains consume; the small kinds
+    // (dblookup, tfhe) accept toy ones.
     const size_t min_logn = paper_scale_kind ? 13 : 8;
-    const size_t min_levels = paper_scale_kind ? 9 : 1;
+    const size_t min_levels =
+        req.workload == "bootstrap"  ? BootstrapBudget().minLevels()
+        : req.workload == "helr"     ? helrMinLevels()
+        : req.workload == "resnet20" ? resNet20MinLevels()
+                                     : 1;
     if (!inRange(req.fhe.logN, min_logn, 17))
         return fail("fhe.logN out of range for kind '" + req.workload +
                     "'");
     if (!inRange(req.fhe.levels, min_levels, 64))
-        return fail("fhe.levels out of range");
+        return fail("fhe.levels out of range for kind '" + req.workload +
+                    "' (want " + std::to_string(min_levels) + "..64)");
     if (!inRange(req.fhe.dnum, 1, req.fhe.levels))
         return fail("fhe.dnum out of range (want 1 <= dnum <= levels)");
     if (!inRange(req.fhe.lanes, 1, 1u << 16))
@@ -193,8 +199,6 @@ ServiceCore::ServiceCore(ServiceOptions opts)
         opts_.queueCapacity = 1;
     if (opts_.batchSize == 0)
         opts_.batchSize = 1;
-    if (opts_.threads > 1)
-        pool_.emplace(opts_.threads);
 }
 
 size_t
@@ -261,7 +265,6 @@ ServiceCore::runBatch()
     SweepOptions so;
     so.threads = opts_.threads;
     so.compileCache = opts_.useCache ? &cache_ : nullptr;
-    so.pool = pool_ ? &*pool_ : nullptr;
     SweepEngine engine(so);
     for (size_t idx : batch) {
         const ServiceRequest &req = window_[idx].req;

@@ -5,8 +5,8 @@
  * - `ServiceCore`: the daemon's brain, independent of any transport.
  *   Single-driver-thread request window with validation, admission
  *   control (bounded pending queue, explicit reject-when-full) and
- *   batched execution through the shared `SweepEngine` on one
- *   long-lived `ThreadPool` + bounded `CompileCache`. Fully
+ *   batched execution through the shared `SweepEngine` (one fork-join
+ *   per batch) + one long-lived bounded `CompileCache`. Fully
  *   deterministic given its configuration and the request stream:
  *   statuses, batching boundaries and every deterministic result field
  *   replay byte-identically — which is what lets a recorded session be
@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,8 +47,10 @@ size_t defaultQueueCapacity();
  *  result streams for the same request stream. */
 struct ServiceOptions
 {
-    /** Sweep worker count (1 = run batches serially on the driver
-     *  thread; no pool is created). */
+    /** Sweep worker count (`SweepOptions::threads`): each batch spawns
+     *  `min(threads, batch)` workers, joined when the batch ends, and
+     *  the driver thread runs jobs alongside them; 1 = no worker, the
+     *  batch runs serially on the driver thread. */
     size_t threads = defaultThreadCount();
     /** Admission bound on accepted-but-unexecuted requests. */
     size_t queueCapacity = defaultQueueCapacity();
@@ -79,9 +80,10 @@ ServiceOptions oracleOptions(const ServiceOptions &base);
 /**
  * Validates a request against the service's admission rules: known
  * workload kind, scheme/hardware/compiler parameters inside sane
- * bounds, and a parseable pipeline spec (unknown pass names are a
- * client error, reported — never a `fatal` in the daemon). False +
- * `error` on the first violation.
+ * bounds (at least the levels the kind's builder consumes — see
+ * `BootstrapBudget::minLevels` and its siblings), and a parseable pipeline
+ * spec (unknown pass names are a client error, reported — never a
+ * `fatal` in the daemon). False + `error` on the first violation.
  */
 bool validateRequest(const ServiceRequest &req, std::string *error);
 
@@ -167,10 +169,6 @@ class ServiceCore
 
     ServiceOptions opts_;
     CompileCache cache_;
-    /** Long-lived batch pool (absent when `threads <= 1`): one pool
-     *  serves every batch, so worker threads are created once per
-     *  daemon, not once per flush. */
-    std::optional<ThreadPool> pool_;
     std::vector<Entry> window_;
     uint64_t next_seq_ = 0;
     uint64_t accepted_ = 0;

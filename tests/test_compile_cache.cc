@@ -671,15 +671,16 @@ TEST(BoundedLru, EvictionStatsDeterministicAcrossThreadCounts)
     constexpr size_t kKeep = 4;
     for (size_t threads : {size_t(1), size_t(2), size_t(8)}) {
         CompileCache cache(kKeep * entry);
-        {
-            ThreadPool pool(threads);
-            for (uint64_t i = 0; i < kKeys; ++i)
-                pool.submit([&cache, i](size_t) {
+        std::atomic<uint64_t> next{0};
+        std::vector<std::thread> workers;
+        for (size_t t = 0; t < threads; ++t)
+            workers.emplace_back([&cache, &next] {
+                for (uint64_t i = next++; i < kKeys; i = next++)
                     cache.getOrBuild(synthKey(i),
                                      [i] { return synthSnapshot(i); });
-                });
-            pool.wait();
-        }
+            });
+        for (std::thread &worker : workers)
+            worker.join();
         const StatSet cs = cache.statsSnapshot();
         EXPECT_EQ(cs.get("cache.evictions"), double(kKeys - kKeep))
             << threads;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Batch-execution runtime tests: ThreadPool scheduling basics, the
- * SweepEngine's ordered result delivery and stat aggregation, and the
+ * Batch-execution runtime tests: the SweepEngine's fork-join
+ * concurrency contract (the caller runs jobs alongside the spawned
+ * workers), ordered result delivery and stat aggregation, and the
  * central determinism guarantee — the same job batch at 1, 2 and 8
  * threads yields identical simulated cycles, machine-code fingerprints
  * and stat aggregates (timing keys excluded: wall-clock is the one
@@ -10,290 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
-#include <set>
-#include <thread>
 
 #include "compiler/compile_cache.h"
 #include "runtime/sweep.h"
-#include "runtime/thread_pool.h"
 
 namespace effact {
 namespace {
-
-// --- ThreadPool -----------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WorkerIndicesStayInRange)
-{
-    ThreadPool pool(3);
-    std::mutex mu;
-    std::set<size_t> seen;
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&](size_t worker) {
-            std::lock_guard<std::mutex> lock(mu);
-            seen.insert(worker);
-        });
-    pool.wait();
-    for (size_t worker : seen)
-        EXPECT_LT(worker, 3u);
-    EXPECT_GE(seen.size(), 1u);
-}
-
-TEST(ThreadPool, DestructorDrainsOutstandingTasks)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&counter](size_t) { ++counter; });
-        // No wait(): the destructor must drain before joining.
-    }
-    EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, WaitIsReusableBetweenBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPool, ZeroThreadRequestStillRuns)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.threadCount(), 1u);
-    std::atomic<int> counter{0};
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-}
-
-// --- Admission control / backpressure -------------------------------------
-
-/** Blocks the pool's single worker until released, so the tests can
- *  build up queue pressure deterministically. */
-class WorkerGate
-{
-  public:
-    /** The gate task; submit it first so the worker parks on it. */
-    ThreadPool::Task task()
-    {
-        return [this](size_t) {
-            entered_.store(true);
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock, [this] { return open_; });
-        };
-    }
-
-    /** Waits until the worker is actually parked inside the gate. */
-    void awaitEntered()
-    {
-        while (!entered_.load())
-            std::this_thread::yield();
-    }
-
-    void open()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        open_ = true;
-        cv_.notify_all();
-    }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool open_ = false;
-    std::atomic<bool> entered_{false};
-};
-
-TEST(ThreadPool, GroupWaitHelpsAndWaitsOnlyForItsOwnTasks)
-{
-    // The pool's only worker is parked in an unrelated top-level task,
-    // and another top-level task queues behind it. An external
-    // `Group::wait` must run its own queued tasks inline (index
-    // `threadCount()`), leave the unrelated task queued, and return
-    // while the worker is still blocked: no deadlock on 1 thread.
-    ThreadPool pool(1);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered();
-    std::atomic<bool> unrelated_ran{false};
-    pool.submit([&unrelated_ran](size_t) { unrelated_ran.store(true); });
-
-    std::vector<size_t> indices(5, SIZE_MAX);
-    {
-        ThreadPool::Group group(pool);
-        for (size_t t = 0; t < indices.size(); ++t)
-            group.submit([&indices, t](size_t worker) { indices[t] = worker; });
-        group.wait();
-    }
-    for (size_t index : indices)
-        EXPECT_EQ(index, pool.threadCount()) << "ran inline";
-    EXPECT_FALSE(unrelated_ran.load());
-    EXPECT_EQ(pool.queueDepth(), 1u) << "the unrelated task stays queued";
-
-    gate.open();
-    pool.wait();
-    EXPECT_TRUE(unrelated_ran.load());
-
-    // With a free worker, group tasks split between it and the waiter;
-    // the wait still returns only after every one of them has finished.
-    ThreadPool wide(2);
-    WorkerGate wide_gate;
-    wide.submit(wide_gate.task());
-    wide_gate.awaitEntered();
-    std::atomic<int> finished{0};
-    ThreadPool::Group group(wide);
-    for (int t = 0; t < 16; ++t)
-        group.submit([&finished](size_t) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ++finished;
-        });
-    group.wait();
-    EXPECT_EQ(finished.load(), 16);
-    wide_gate.open();
-    wide.wait();
-}
-
-TEST(Backpressure, TrySubmitRejectsExactlyWhenQueueIsFull)
-{
-    ThreadPool pool(1, /*maxQueued=*/3);
-    EXPECT_EQ(pool.maxQueued(), 3u);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered(); // worker busy, queue empty
-
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 3; ++i)
-        EXPECT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }))
-            << "queue slot " << i << " must be granted";
-    EXPECT_EQ(pool.queueDepth(), 3u);
-    // The documented reject-when-full contract: refusal leaves the task
-    // un-enqueued, so nothing about the pool changes.
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    EXPECT_EQ(pool.queueDepth(), 3u);
-
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 3) << "accepted tasks run; the refused one not";
-    // Draining frees the admission slots again.
-    EXPECT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    pool.wait();
-    EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(Backpressure, UnboundedSubmitIgnoresTheAdmissionBound)
-{
-    // Internal fan-out (Group tasks, stage chaining) goes through
-    // plain submit and must never be refused, or a half-submitted job
-    // would deadlock its own barrier.
-    ThreadPool pool(1, /*maxQueued=*/1);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered();
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&ran](size_t) { ++ran; });
-    EXPECT_EQ(pool.queueDepth(), 8u);
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(Backpressure, ShutdownDrainsAcceptedTasks)
-{
-    std::atomic<int> ran{0};
-    ThreadPool pool(2, /*maxQueued=*/64);
-    for (int i = 0; i < 32; ++i)
-        ASSERT_TRUE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    pool.shutdown();
-    EXPECT_EQ(ran.load(), 32) << "every accepted task runs before join";
-    // Idempotent, and permanently closed afterwards.
-    pool.shutdown();
-    EXPECT_FALSE(pool.trySubmit([&ran](size_t) { ++ran; }));
-    EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(Backpressure, ConcurrentSubmitAndShutdownNeverLosesOrDoublesATask)
-{
-    // Producers hammer trySubmit while the owner shuts the pool down.
-    // The contract: every task is either refused (runs zero times) or
-    // accepted (runs exactly once) — no lost or double-run tasks.
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 64;
-    std::array<std::atomic<int>, kProducers * kPerProducer> runs{};
-    std::array<bool, kProducers * kPerProducer> accepted{};
-
-    ThreadPool pool(2, /*maxQueued=*/8);
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p)
-        producers.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                const int id = p * kPerProducer + i;
-                accepted[id] = pool.trySubmit(
-                    [&runs, id](size_t) { ++runs[id]; });
-            }
-        });
-    // Shut down while the producers are mid-burst.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    pool.shutdown();
-    for (std::thread &t : producers)
-        t.join();
-
-    int accepted_count = 0;
-    for (int id = 0; id < kProducers * kPerProducer; ++id) {
-        EXPECT_EQ(runs[id].load(), accepted[id] ? 1 : 0)
-            << "task " << id
-            << (accepted[id] ? " was accepted but did not run exactly once"
-                             : " was refused but ran anyway");
-        accepted_count += accepted[id] ? 1 : 0;
-    }
-    // Sanity: the race window is real in both directions — some tasks
-    // get in before the shutdown; ones submitted after it are refused.
-    EXPECT_GE(accepted_count, 0);
-}
-
-TEST(Backpressure, QueueDepthTracksPressure)
-{
-    ThreadPool pool(1, /*maxQueued=*/16);
-    EXPECT_EQ(pool.queueDepth(), 0u);
-    WorkerGate gate;
-    pool.submit(gate.task());
-    gate.awaitEntered();
-    // The gate task is *running*, not queued: depth counts waiting work
-    // only (the admission pressure a service reports).
-    EXPECT_EQ(pool.queueDepth(), 0u);
-    for (size_t i = 1; i <= 5; ++i) {
-        ASSERT_TRUE(pool.trySubmit([](size_t) {}));
-        EXPECT_EQ(pool.queueDepth(), i);
-    }
-    gate.open();
-    pool.wait();
-    EXPECT_EQ(pool.queueDepth(), 0u);
-}
 
 // --- SweepEngine ----------------------------------------------------------
 
@@ -540,7 +267,7 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
     EXPECT_GT(results[0].platform.sim.cycles, 0.0);
 }
 
-// --- Verified, cached and external-pool sweeps -----------------------------
+// --- Verified and cached sweeps --------------------------------------------
 
 /** The serial oracle for a grid, with a forced verify level. */
 std::vector<SweepResult>
@@ -654,32 +381,87 @@ TEST(SweepEngine, SharedCacheFourThreadsStaysIdentical)
     EXPECT_GT(cache.statsSnapshot().get("cache.hits"), 0.0);
 }
 
-TEST(SweepEngine, ExternalPoolMatchesPrivatePool)
+TEST(SweepEngine, ConsecutiveEnginesShareOneCache)
 {
-    // A caller-owned long-lived pool (the service daemon's) must be
-    // byte-identical to the engine's private per-run pool, and reusable
-    // across consecutive batches without re-spawning workers.
+    // The daemon's shape: one long-lived cache serves a run of
+    // short-lived engines, each forking and joining its own workers.
+    // Every batch is byte-identical to the serial oracle, including a
+    // `threads = 0` engine (floored to the serial path) that reads the
+    // warm cache.
     const std::vector<SweepJob> jobs = smallGrid();
     const std::vector<SweepResult> oracle = serialOracle(jobs);
-
-    ThreadPool pool(4);
     CompileCache cache;
-    for (int batch = 0; batch < 2; ++batch) {
+    for (size_t threads : {size_t(4), size_t(4), size_t(0)}) {
         SweepOptions o;
-        o.threads = 4;
+        o.threads = threads;
         o.compileCache = &cache;
-        o.pool = &pool;
         SweepEngine engine(o);
         for (const SweepJob &job : jobs)
             engine.submit(job);
         expectSameResults(engine.runAll(), oracle,
-                          "external pool batch " + std::to_string(batch));
+                          "threads " + std::to_string(threads));
+        EXPECT_EQ(engine.workersUsed(), threads == 0 ? 1u : 4u);
     }
-    // The pool survives the engines and still accepts work.
-    std::atomic<int> counter{0};
-    pool.submit([&counter](size_t) { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
+    EXPECT_GT(cache.statsSnapshot().get("cache.hits"), 0.0);
+}
+
+// --- Fork-join concurrency --------------------------------------------------
+
+/**
+ * Runs 8 jobs at `threads` and returns the most that were ever in
+ * flight at once. Each job's `build` holds its slot until `expected`
+ * jobs have been in flight together, so every expected peer gets the
+ * chance to arrive; a wait that times out (10 s) releases every job,
+ * so a missing peer fails the peak assertion instead of hanging.
+ */
+size_t
+peakJobsInFlight(size_t threads, size_t expected)
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t in_flight = 0;
+    size_t peak = 0;
+    bool timed_out = false;
+    FheParams fhe;
+    fhe.logN = 12;
+    fhe.levels = 6;
+    fhe.dnum = 2;
+    const HardwareConfig hw = HardwareConfig::asicEffact27();
+    SweepEngine engine({threads});
+    for (int j = 0; j < 8; ++j)
+        engine.submit(
+            "job" + std::to_string(j),
+            [&, fhe] {
+                {
+                    std::unique_lock<std::mutex> lock(mu);
+                    peak = std::max(peak, ++in_flight);
+                    cv.notify_all();
+                    auto released = [&] {
+                        return timed_out || peak >= expected;
+                    };
+                    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                                     released)) {
+                        timed_out = true;
+                        cv.notify_all();
+                    }
+                    --in_flight;
+                }
+                return buildDbLookup(fhe, 16);
+            },
+            hw, Platform::fullOptions(hw.sramBytes));
+    engine.runAll();
+    EXPECT_EQ(engine.workersUsed(), std::max<size_t>(threads, 1));
+    EXPECT_EQ(engine.aggregates().get("sweep.threads"),
+              double(std::max<size_t>(threads, 1)));
+    return peak;
+}
+
+TEST(SweepEngine, CallerRunsAlongsideWorkers)
+{
+    // `threads` spawned workers plus the calling thread: 3 jobs at once
+    // at threads = 2. The serial path never overlaps two jobs.
+    EXPECT_EQ(peakJobsInFlight(2, 3), 3u);
+    EXPECT_EQ(peakJobsInFlight(1, 1), 1u);
 }
 
 TEST(DefaultThreadCount, IsPositive)

@@ -563,7 +563,7 @@ TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
 
 /** A request of `kind` at the smallest parameters its builder runs
  *  with (toy ones for dblookup and tfhe; the paper-scale kinds need
- *  logN 13 and enough levels for their bootstrapping), full preset at
+ *  logN 13 and the levels their builders consume), full preset at
  *  `sram_mb`. */
 ServiceRequest
 minimalRequest(const std::string &kind, size_t sram_mb)
@@ -574,13 +574,43 @@ minimalRequest(const std::string &kind, size_t sram_mb)
     req.name = kind + "/sram" + std::to_string(sram_mb);
     req.workload = kind;
     req.fhe.logN = paper_scale ? 13 : 12;
-    req.fhe.levels = kind == "helr" ? 16 : paper_scale ? 18 : 6;
+    req.fhe.levels = kind == "bootstrap" ? BootstrapBudget().minLevels()
+                     : kind == "helr"      ? helrMinLevels()
+                     : kind == "resnet20"  ? resNet20MinLevels()
+                                           : 6;
     req.fhe.dnum = 2;
     req.param = kind == "dblookup" ? 32 : 0;
     req.hw = HardwareConfig::asicEffact27();
     req.hw.sramBytes = sram_mb << 20;
     req.copts = Platform::fullOptions(req.hw.sramBytes);
     return req;
+}
+
+TEST(ServiceCore, LevelsBelowEachKindsBudgetAreBadRequests)
+{
+    // One level short of what a paper-scale builder's rescale chains
+    // consume would panic inside the batch and take the daemon down:
+    // validation refuses it. The minimum itself is admitted, and
+    // SlowRecipeMemo runs every kind Ok at exactly that minimum.
+    ServiceOptions opts;
+    opts.threads = 1;
+    ServiceCore core(opts);
+    for (const char *kind : {"bootstrap", "helr", "resnet20"}) {
+        ServiceRequest req = minimalRequest(kind, 27);
+        std::string why;
+        EXPECT_TRUE(validateRequest(req, &why)) << kind << ": " << why;
+        req.fhe.levels -= 1;
+        core.submit(req);
+    }
+    const std::vector<ServiceResult> results = core.flush();
+    ASSERT_EQ(results.size(), 3u);
+    for (const ServiceResult &r : results) {
+        EXPECT_EQ(r.status, ServiceStatus::BadRequest) << r.name;
+        EXPECT_NE(r.error.find("fhe.levels"), std::string::npos)
+            << r.error;
+        EXPECT_EQ(r.cycles, 0.0) << r.name;
+    }
+    EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 3.0);
 }
 
 /** Canonical bytes of the single result `core` returns for `req`, with

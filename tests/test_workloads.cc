@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ir/workloads.h"
+#include "verify/verify.h"
 
 namespace effact {
 namespace {
@@ -120,6 +123,60 @@ TEST(Workloads, RescaleCostsLinearInLevel)
     size_t cost20 = prog.liveCount() - before;
     EXPECT_GT(cost20, cost10);
     EXPECT_LT(cost20, 3 * cost10);
+}
+
+TEST(Workloads, PolyEvalDepthMatchesTheEmittedRescaleChain)
+{
+    FheParams p;
+    p.logN = 10;
+    for (const auto &[degree, baby] :
+         {std::pair<size_t, size_t>{7, 4}, {27, 8}, {255, 16}}) {
+        IrProgram prog;
+        KernelBuilder kb(prog, p);
+        const int evk = kb.switchingKeyObject("relin_key");
+        const IrCt in = kb.inputCiphertext("x", 20);
+        const IrCt out = kb.polyEval(in, degree, baby, evk);
+        EXPECT_EQ(in.level - out.level,
+                  KernelBuilder::polyEvalDepth(degree, baby))
+            << "degree " << degree << ", baby " << baby;
+    }
+}
+
+TEST(Workloads, MinLevelsAreExactlyWhatTheBuildersConsume)
+{
+    // Table III budgets: 4 + 1 + 9 + 3 levels for the full-slot
+    // bootstrapping, 3 + 1 + 9 + 2 for HELR's 256-slot one; ResNet-20's
+    // convolution segment enters at level 20.
+    EXPECT_EQ(BootstrapBudget().minLevels(), 18u);
+    EXPECT_EQ(helrMinLevels(), 16u);
+    EXPECT_EQ(resNet20MinLevels(), 20u);
+
+    // Each builder's IR verifies clean at its minimum. One level below
+    // it, bootstrapping and HELR run out of levels mid-chain, and
+    // ResNet-20's key switches index past its key objects.
+    FheParams p;
+    p.logN = 12;
+    p.dnum = 2;
+    BootstrapBudget budget;
+    budget.slots = p.degree() / 2;
+    auto bootstrap = [budget](FheParams f) {
+        return buildBootstrapping(f, budget);
+    };
+    p.levels = budget.minLevels();
+    EXPECT_TRUE(verifyIr(bootstrap(p).program).ok());
+    p.levels = helrMinLevels();
+    EXPECT_TRUE(verifyIr(buildHelr(p).program).ok());
+    p.levels = resNet20MinLevels();
+    EXPECT_TRUE(verifyIr(buildResNet20(p).program).ok());
+
+    p.levels = budget.minLevels() - 1;
+    EXPECT_DEATH(bootstrap(p), "cannot rescale at level 1");
+    p.levels = helrMinLevels() - 1;
+    EXPECT_DEATH(buildHelr(p), "cannot rescale at level 1");
+    p.levels = resNet20MinLevels() - 1;
+    const VerifyReport below = verifyIr(buildResNet20(p).program);
+    ASSERT_FALSE(below.ok());
+    EXPECT_EQ(below.findings[0].rule, "ir.mem.index");
 }
 
 TEST(Workloads, BconvMatchesAnalyticCounts)
