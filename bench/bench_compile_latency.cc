@@ -60,13 +60,13 @@ measureOnce()
 {
     SweepOptions opts;
     opts.threads = 1;
-    opts.verifyLevel = 0;
     SweepEngine engine(opts);
+    CompilerOptions copts =
+        Platform::fullOptions(HardwareConfig::asicEffact27().sramBytes);
+    copts.verifyLevel = 0;
     engine.submit("bootstrapping/full/sram27",
                   [] { return buildBootstrapping(paperFhe()); },
-                  HardwareConfig::asicEffact27(),
-                  Platform::fullOptions(
-                      HardwareConfig::asicEffact27().sramBytes));
+                  HardwareConfig::asicEffact27(), copts);
     const Clock::time_point t0 = Clock::now();
     const SweepResult &r = engine.runAll().front();
     LatencyRun run;

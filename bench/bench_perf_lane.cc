@@ -109,9 +109,7 @@ runFig11Grid()
 
     GridResult grid;
     CompileCache cache;
-    // Verification forced off batch-wide: the lane measures the
-    // compiler and simulator, never the checkpoint verifiers.
-    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
+    SweepEngine engine({defaultThreadCount(), &cache});
     for (size_t sram : sram_points) {
         for (const Step &step : steps) {
             HardwareConfig cfg = hw;
@@ -209,7 +207,7 @@ measureOptimizationWins()
                                              size_t(27) << 20};
 
     CompileCache cache;
-    SweepEngine engine({defaultThreadCount(), &cache, /*verifyLevel=*/0});
+    SweepEngine engine({defaultThreadCount(), &cache});
     for (const auto &[wname, build] : workloads) {
         for (size_t sram : sram_points) {
             for (const Variant &v : variants) {
@@ -269,8 +267,8 @@ emit(const char *path)
     // Recorded perf numbers must be comparable run to run: refuse to
     // measure with checkpoint verification switched on via the
     // environment — a verified compile is a different workload than the
-    // one the checked-in baseline was recorded from. (The sweep below
-    // additionally forces verifyLevel 0 on every job.)
+    // one the checked-in baseline was recorded from. Every job's
+    // `CompilerOptions::verifyLevel` defaults to that level, 0.
     EFFACT_ASSERT(defaultVerifyLevel() == 0,
                   "perf lane refuses to run with EFFACT_VERIFY set: "
                   "verification would pollute the recorded wall-clock");

@@ -51,15 +51,12 @@ middleEndPresetHash(const CompilerOptions &opts)
         for (int byte = 0; byte < 8; ++byte)
             mixByte((v >> (byte * 8)) & 0xff);
     };
-    // The executed pipeline spec, not the raw switches: options that
-    // derive the same spec run the same middle end.
-    const std::string spec = opts.pipeline.empty()
-                                 ? pipelineSpecFromOptions(opts)
-                                 : opts.pipeline;
-    mix(spec.size());
-    for (char c : spec)
-        mixByte(static_cast<unsigned char>(c));
-    mix(opts.pipelineMaxIterations);
+    auto mixStr = [&](const std::string &s) {
+        mix(s.size());
+        for (char c : s)
+            mixByte(static_cast<unsigned char>(c));
+    };
+    mixStr(opts.pipeline); // the executed middle end
     // Back-end switches that are part of the preset identity but not of
     // the hardware config (see the header on why they are included).
     // `verifyLevel` is deliberately absent: checkpoint verification
@@ -71,11 +68,6 @@ middleEndPresetHash(const CompilerOptions &opts)
     // Back-end policy strings: like schedule/streaming these never
     // change the middle end's output, but they are part of the preset
     // identity, so sweeps varying them keep distinct stats expectations.
-    auto mixStr = [&](const std::string &s) {
-        mix(s.size());
-        for (char c : s)
-            mixByte(static_cast<unsigned char>(c));
-    };
     mixStr(opts.scheduler);
     mixStr(opts.regalloc);
     return h;

@@ -13,9 +13,10 @@
  *   `src/ir` — independently built copies of the same workload hash
  *   equal, and any real mutation (which also bumps `version()`) changes
  *   it;
- * - the preset half covers every `CompilerOptions` field *except* the
- *   hardware-derived knobs `sramBytes` and `issueWindow`, the two
- *   fields `Platform` overwrites from its `HardwareConfig`. That split
+ * - the preset half covers the pipeline spec and the back-end switches
+ *   and policies, *not* the hardware-derived knobs (`sramBytes`,
+ *   `issueWindow`, `lanes`, `hbmBytesPerCycle`) that `Platform`
+ *   overwrites from its `HardwareConfig`, nor `verifyLevel`. That split
  *   is the whole point: jobs that differ only in hardware share an
  *   entry. Presets that happen to share a pipeline spec but differ in
  *   back-end switches (e.g. MAD-enhanced vs streaming, both
@@ -100,12 +101,11 @@ struct RecipeMemo
 
 /**
  * FNV-1a hash of the middle-end-relevant compiler preset: the executed
- * pipeline spec (the explicit `pipeline` string, or the one derived
- * from the four optimization switches), the fixed-point sweep bound,
- * and the remaining non-hardware options (`schedule`, `streaming`,
- * `fifoDepth`). `sramBytes` and `issueWindow` are excluded — `Platform`
- * rewrites them from `HardwareConfig`, and splitting on them is exactly
- * what the cache exists to avoid.
+ * pipeline spec (`CompilerOptions::pipeline`) and the remaining
+ * non-hardware options (`schedule`, `streaming`, `fifoDepth`,
+ * `scheduler`, `regalloc`). The hardware-derived fields are excluded —
+ * `Platform` rewrites them from `HardwareConfig`, and splitting on them
+ * is exactly what the cache exists to avoid.
  */
 uint64_t middleEndPresetHash(const CompilerOptions &opts);
 

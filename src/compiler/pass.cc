@@ -125,16 +125,13 @@ Compiler::runMiddleEnd(IrProgram &prog, AnalysisManager &analyses,
     // point. The repeat subsumes the old special-cased "copy-prop again
     // after the Eq. 5 peephole" cleanup and catches any second-order
     // reductions one sweep misses.
-    PassManager pipeline = PassManager::fromSpec(
-        opts_.pipeline.empty() ? pipelineSpecFromOptions(opts_)
-                               : opts_.pipeline);
-    pipeline.setMaxIterations(opts_.pipelineMaxIterations);
+    PassManager pipeline = PassManager::fromSpec(opts_.pipeline);
     pipeline.setVerifyLevel(opts_.verifyLevel);
     pipeline.run(prog, analyses, stats);
     EFFACT_ASSERT(pipeline.converged(),
                   "optimization pipeline '%s' did not converge in %zu "
                   "sweeps",
-                  pipeline.spec().c_str(), pipeline.maxIterations());
+                  pipeline.spec().c_str(), PassManager::kMaxSweeps);
     prog.compact();
 
     // The program leaving here is what a `CompileCache` snapshots and

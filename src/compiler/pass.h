@@ -15,30 +15,17 @@ namespace effact {
 
 int defaultVerifyLevel(); // verify/verify.h (EFFACT_VERIFY)
 
-/** Which optimizations run; switches drive the Fig. 11 ablation. */
+/** A compiler preset: the middle-end pipeline plus the back-end switches
+ *  and policies. The Fig. 11 ablation points are presets of it. */
 struct CompilerOptions
 {
-    bool copyProp = true;
-    bool constProp = true;
-    bool pre = true;       ///< partial redundancy elimination (CSE/VN)
-    bool peephole = true;  ///< computation merge (MAC fusion, Eq. 5 fold)
     /**
-     * Declarative optimization pipeline, a comma-separated pass-name
-     * spec (e.g. `"copyprop,constprop,pre,peephole"`). When empty the
-     * pipeline is derived from the four switches above
-     * (`pipelineSpecFromOptions`); when set it overrides them. The
-     * pipeline runs to a bounded fixed point (see `PassManager`).
+     * The whole middle end: a comma-separated pass-name spec run to a
+     * bounded fixed point (see `PassManager`). `""` runs no
+     * optimization (the Fig. 11 baseline); the `Platform` presets are
+     * spec literals.
      */
-    std::string pipeline;
-    /**
-     * Fixed-point sweep bound for the optimization pipeline; compile
-     * panics if it has not converged within this many sweeps. A guard
-     * against non-monotone pass bugs, set generously: rewrite chains
-     * (e.g. stacked single-use scale multiplies folding one link per
-     * sweep) legitimately take many sweeps, and quiescent sweeps cost
-     * almost nothing under the version-skip.
-     */
-    size_t pipelineMaxIterations = 64;
+    std::string pipeline = "copyprop,constprop,pre,peephole";
     bool schedule = true;  ///< global list scheduling (off = program order)
     bool streaming = true; ///< streaming memory access (Sec. IV-C)
     /**

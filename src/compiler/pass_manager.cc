@@ -159,29 +159,6 @@ parsePipelineSpec(const std::string &spec, std::vector<std::string> *names,
     return true;
 }
 
-std::string
-pipelineSpecFromOptions(const CompilerOptions &opts)
-{
-    std::string spec;
-    auto append = [&spec](bool enabled, const char *name) {
-        if (!enabled)
-            return;
-        if (!spec.empty())
-            spec += ',';
-        spec += name;
-    };
-    append(opts.copyProp, "copyprop");
-    append(opts.constProp, "constprop");
-    append(opts.pre, "pre");
-    append(opts.peephole, "peephole");
-    // The Eq. 5 peephole fold leaves Copies behind that only copy-prop
-    // removes; a peephole pipeline therefore always carries one (the
-    // legacy backend likewise ran the cleanup regardless of the
-    // copyProp switch).
-    append(opts.peephole && !opts.copyProp, "copyprop");
-    return spec;
-}
-
 // --- PassManager ----------------------------------------------------------
 
 PassManager
@@ -220,9 +197,6 @@ size_t
 PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
 {
     using Clock = std::chrono::steady_clock;
-    EFFACT_ASSERT(maxIterations_ > 0,
-                  "pipeline sweep bound must be positive (0 would "
-                  "silently skip every pass yet report convergence)");
     converged_ = true;
     size_t sweeps = 0;
     if (passes_.empty()) {
@@ -243,7 +217,7 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
     // to the passes that actually saw new IR.
     constexpr uint64_t kNeverRan = ~uint64_t(0);
     std::vector<uint64_t> last_seen(passes_.size(), kNeverRan);
-    while (sweeps < maxIterations_) {
+    while (sweeps < kMaxSweeps) {
         ++sweeps;
         bool sweep_changed = false;
         for (size_t i = 0; i < passes_.size(); ++i) {

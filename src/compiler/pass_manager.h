@@ -8,8 +8,9 @@
  * point instead of one hardcoded sweep.
  *
  * Pipelines are named by spec strings (`"copyprop,constprop,pre,
- * peephole"`), so the Fig. 11 ablation presets, `CompilerOptions`
- * switches, and benches all describe the same thing in one vocabulary.
+ * peephole"`). `CompilerOptions::pipeline` is the only encoding of the
+ * middle end: the Fig. 11 ablation presets, the daemon protocol and the
+ * benches all name it as a spec, and `""` is the unoptimized baseline.
  */
 #ifndef EFFACT_COMPILER_PASS_MANAGER_H
 #define EFFACT_COMPILER_PASS_MANAGER_H
@@ -92,7 +93,7 @@ class Pass
 /**
  * Runs an ordered pipeline of passes to a bounded fixed point: the
  * sequence repeats until one full sweep reports no change (converged)
- * or `maxIterations()` sweeps have run. Per-pass wall-clock and
+ * or `kMaxSweeps` sweeps have run. Per-pass wall-clock and
  * instruction-delta statistics are recorded under namespaced keys
  * (`pass.<name>.ms`, `pass.<name>.removed`, `pass.<name>.changed`),
  * plus `pipeline.iterations` / `pipeline.converged` for the loop.
@@ -100,6 +101,16 @@ class Pass
 class PassManager
 {
   public:
+    /**
+     * Fixed-point sweep bound: a guard against non-monotone pass bugs,
+     * set generously. Rewrite chains (e.g. stacked single-use scale
+     * multiplies folding one link per sweep) legitimately take many
+     * sweeps, and quiescent sweeps cost almost nothing under the
+     * version-skip. `Compiler::runMiddleEnd` panics if a pipeline has
+     * not converged within it.
+     */
+    static constexpr size_t kMaxSweeps = 64;
+
     PassManager() = default;
 
     /**
@@ -116,11 +127,6 @@ class PassManager
 
     /** Round-trips the pipeline back to its spec string. */
     std::string spec() const;
-
-    /** Fixed-point sweep bound (default 64, matching
-     *  `CompilerOptions::pipelineMaxIterations`). */
-    void setMaxIterations(size_t n) { maxIterations_ = n; }
-    size_t maxIterations() const { return maxIterations_; }
 
     /**
      * When > 0, the IR verifier runs after every pass that reported a
@@ -142,14 +148,14 @@ class PassManager
 
   private:
     std::vector<std::unique_ptr<Pass>> passes_;
-    size_t maxIterations_ = 64;
     int verifyLevel_ = 0;
     bool converged_ = true;
 };
 
 /**
  * Creates an optimization pass by registry name (`"copyprop"`,
- * `"constprop"`, `"pre"`, `"peephole"`); nullptr if unknown.
+ * `"constprop"`, `"pre"`, `"peephole"`, `"rotalg"`); nullptr if
+ * unknown.
  */
 std::unique_ptr<Pass> createPass(const std::string &name);
 
@@ -165,13 +171,6 @@ const std::vector<std::string> &knownPassNames();
 bool parsePipelineSpec(const std::string &spec,
                        std::vector<std::string> *names,
                        std::string *error = nullptr);
-
-/**
- * The declarative pipeline equivalent of a set of `CompilerOptions`
- * optimization switches (e.g. all-true -> the full
- * `"copyprop,constprop,pre,peephole"` pipeline).
- */
-std::string pipelineSpecFromOptions(const CompilerOptions &opts);
 
 } // namespace effact
 

@@ -113,9 +113,10 @@ buildBootstrapping(const FheParams &fhe, const BootstrapBudget &budget)
 {
     Workload w;
     w.fhe = fhe;
-    // T_A.S. divisor: slots x (L - L_boot), L_boot = CtS+EvalMod+StC.
+    // T_A.S. divisor: slots x the levels left after bootstrapping,
+    // which consumes minLevels() - 1 of the L + 1 chain levels.
     w.amortizeFactor = double(budget.slots) *
-                       double(fhe.levels - (budget.levelsCtS + 8 + budget.levelsStC));
+                       double(fhe.levels + 1 - budget.minLevels());
     w.program.name = "bootstrapping";
 
     KernelBuilder kb(w.program, fhe);

@@ -88,17 +88,13 @@ Platform::assemble(const Compiler &compiler, const MachineProgram &mp,
     return result;
 }
 
-// Each Fig. 11 design point is one declarative pipeline spec; the
-// bool switches are kept consistent for code that inspects them.
+// Each Fig. 11 design point is one declarative pipeline spec plus its
+// back-end switches.
 
 CompilerOptions
 Platform::baselineOptions(size_t sram_bytes)
 {
     CompilerOptions o;
-    o.copyProp = false;
-    o.constProp = false;
-    o.pre = false;
-    o.peephole = false;
     o.pipeline = "";
     o.schedule = false;
     o.streaming = false;
@@ -113,7 +109,6 @@ Platform::madEnhancedOptions(size_t sram_bytes)
     // keys/constants) but schedules data paths by hand within HE
     // primitives: no global scheduling or streaming.
     CompilerOptions o;
-    o.peephole = false;
     o.pipeline = "copyprop,constprop,pre";
     o.schedule = false;
     o.streaming = false;
@@ -125,7 +120,6 @@ CompilerOptions
 Platform::streamingOptions(size_t sram_bytes)
 {
     CompilerOptions o;
-    o.peephole = false;
     o.pipeline = "copyprop,constprop,pre";
     o.schedule = true;
     o.streaming = true;

@@ -116,8 +116,6 @@ size_t
 SweepEngine::submit(SweepJob job)
 {
     EFFACT_ASSERT(!ran_, "submit after runAll");
-    if (opts_.verifyLevel >= 0)
-        job.copts.verifyLevel = opts_.verifyLevel;
     jobs_.push_back(std::move(job));
     return jobs_.size() - 1;
 }

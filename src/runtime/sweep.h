@@ -98,14 +98,6 @@ struct SweepOptions
      * the engine's aggregates after `runAll()`.
      */
     CompileCache *compileCache = nullptr;
-    /**
-     * Batch-wide verification override: -1 (default) leaves every job's
-     * `CompilerOptions::verifyLevel` alone; >= 0 forces that level onto
-     * all jobs, so a harness can run a whole sweep fully checkpointed
-     * (or force it off in a Release perf lane) without editing each
-     * job's options.
-     */
-    int verifyLevel = -1;
 };
 
 /**

@@ -285,12 +285,7 @@ encodeRequest(const ServiceRequest &req)
     putU64(buf, req.hw.issueWindow);
     // Compiler preset, minus the hardware-derived fields Platform
     // overwrites (`sramBytes`, `issueWindow`).
-    putU8(buf, req.copts.copyProp ? 1 : 0);
-    putU8(buf, req.copts.constProp ? 1 : 0);
-    putU8(buf, req.copts.pre ? 1 : 0);
-    putU8(buf, req.copts.peephole ? 1 : 0);
     putString(buf, req.copts.pipeline);
-    putU64(buf, req.copts.pipelineMaxIterations);
     putU8(buf, req.copts.schedule ? 1 : 0);
     putU8(buf, req.copts.streaming ? 1 : 0);
     putU64(buf, req.copts.fifoDepth);
@@ -325,12 +320,7 @@ decodeRequest(const std::vector<uint8_t> &payload, ServiceRequest *out,
     req.hw.autoUnits = size_t(r.u64());
     req.hw.nttMacReuse = r.u8() != 0;
     req.hw.issueWindow = size_t(r.u64());
-    req.copts.copyProp = r.u8() != 0;
-    req.copts.constProp = r.u8() != 0;
-    req.copts.pre = r.u8() != 0;
-    req.copts.peephole = r.u8() != 0;
     req.copts.pipeline = r.str();
-    req.copts.pipelineMaxIterations = size_t(r.u64());
     req.copts.schedule = r.u8() != 0;
     req.copts.streaming = r.u8() != 0;
     req.copts.fifoDepth = size_t(r.u64());

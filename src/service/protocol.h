@@ -48,8 +48,10 @@ namespace effact {
 /** 'E','F','C','T' read as a little-endian u32. */
 constexpr uint32_t kFrameMagic = 0x54434645u;
 /** v2: request payloads carry the back-end policy strings
- *  (`CompilerOptions::scheduler` / `::regalloc`) after `fifoDepth`. */
-constexpr uint16_t kProtocolVersion = 2;
+ *  (`CompilerOptions::scheduler` / `::regalloc`) after `fifoDepth`.
+ *  v3: the pipeline spec is the request's only middle-end field (the
+ *  four pass switches and the sweep bound are gone). */
+constexpr uint16_t kProtocolVersion = 3;
 /** Hard payload bound: a request or result is a few KB; anything
  *  megabytes-large is garbage and refused before allocation. */
 constexpr uint32_t kMaxFramePayload = 1u << 20;
@@ -103,9 +105,11 @@ FrameDecodeStatus decodeFrame(const uint8_t *data, size_t size, Frame *out,
 /**
  * One compile-and-simulate request: which workload to build (by kind
  * name + scheme parameters), the hardware design point, and the
- * compiler options. `hw.sramBytes` / `hw.issueWindow` are authoritative
- * — `Platform` overwrites the corresponding `CompilerOptions` fields,
- * exactly as in batch mode.
+ * compiler options (`copts.pipeline` is the whole middle end; the
+ * fixed-point sweep bound is not the client's to choose).
+ * `hw.sramBytes` / `hw.issueWindow` are authoritative — `Platform`
+ * overwrites the corresponding `CompilerOptions` fields, exactly as in
+ * batch mode.
  */
 struct ServiceRequest
 {

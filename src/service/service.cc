@@ -118,19 +118,14 @@ validateRequest(const ServiceRequest &req, std::string *error)
     if (!inRange(req.hw.issueWindow, 1, 1u << 16))
         return fail("hw.issueWindow out of range");
     // Compiler options.
-    if (!inRange(req.copts.pipelineMaxIterations, 1, 4096))
-        return fail("copts.pipelineMaxIterations out of range");
     if (!inRange(req.copts.fifoDepth, 1, 1u << 20))
         return fail("copts.fifoDepth out of range");
-    if (!req.copts.pipeline.empty()) {
-        // An unknown pass name in an explicit spec must surface as a
-        // BadRequest, not as `PassManager::fromSpec`'s `fatal` in the
-        // middle of a batch.
-        std::vector<std::string> names;
-        std::string spec_error;
-        if (!parsePipelineSpec(req.copts.pipeline, &names, &spec_error))
-            return fail("bad pipeline spec: " + spec_error);
-    }
+    // An unknown pass name must surface as a BadRequest, not as
+    // `PassManager::fromSpec`'s `fatal` in the middle of a batch.
+    std::vector<std::string> names;
+    std::string spec_error;
+    if (!parsePipelineSpec(req.copts.pipeline, &names, &spec_error))
+        return fail("bad pipeline spec: " + spec_error);
     if (req.verifyLevel < -1 || req.verifyLevel > 8)
         return fail("verifyLevel out of range (want -1..8)");
     return true;

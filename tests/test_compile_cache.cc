@@ -237,15 +237,6 @@ TEST(PresetHash, PresetsKeySeparately)
                    "identity)";
 }
 
-TEST(PresetHash, ExplicitPipelineEqualsDerivedPipeline)
-{
-    CompilerOptions derived; // all four switches on, empty spec
-    CompilerOptions explicit_spec;
-    explicit_spec.pipeline = pipelineSpecFromOptions(derived);
-    EXPECT_EQ(middleEndPresetHash(derived),
-              middleEndPresetHash(explicit_spec));
-}
-
 // --- Cache behavior -------------------------------------------------------
 
 TEST(CompileCache, StructurallyIdenticalProgramsHit)

@@ -508,7 +508,7 @@ TEST(Compiler, SpilledValuesCountEachSpillOnce)
         CompilerOptions opts;
         opts.schedule = false;
         opts.streaming = false;
-        opts.peephole = false;
+        opts.pipeline = "copyprop,constprop,pre";
         opts.regalloc = policy;
         opts.sramBytes = size_t(8) * prog.degree * 8; // 8 registers
         Compiler compiler(opts);

@@ -6,7 +6,8 @@
  *      single hardcoded sweep — both optimized programs (and the
  *      un-optimized original) must be *semantically* equivalent under a
  *      reference interpreter, on seeded random IR programs the stock
- *      workloads never produce;
+ *      workloads never produce — plus the rotalg preset and one random
+ *      pipeline spec per seed against the same interpreter;
  *  (b) the event-driven `Simulator::run` against the legacy rescan
  *      oracle `runReference` — cycle/traffic-identical on the compiled
  *      random programs across random hardware shapes, SRAM budgets
@@ -465,52 +466,76 @@ class ProgramGen
 // --- The legacy single-sweep oracle ---------------------------------------
 
 /**
+ * The four per-pass switches the compiler options carried before the
+ * pipeline spec became the only encoding. They survive here as the
+ * legacy oracle's input and as the fuzz harness's sampling vocabulary.
+ */
+struct PassSwitches
+{
+    bool copyProp = true;
+    bool constProp = true;
+    bool pre = true;
+    bool peephole = true;
+};
+
+/**
+ * The pipeline spec the switches stood for: the enabled passes in
+ * canonical order, plus a trailing `copyprop` for a peephole without
+ * copy-prop (the Eq. 5 fold leaves Copies only copy-prop removes).
+ */
+std::string
+specFromSwitches(const PassSwitches &sw)
+{
+    std::string spec;
+    auto append = [&spec](bool enabled, const char *name) {
+        if (!enabled)
+            return;
+        if (!spec.empty())
+            spec += ',';
+        spec += name;
+    };
+    append(sw.copyProp, "copyprop");
+    append(sw.constProp, "constprop");
+    append(sw.pre, "pre");
+    append(sw.peephole, "peephole");
+    append(sw.peephole && !sw.copyProp, "copyprop");
+    return spec;
+}
+
+/**
  * The pre-pass-manager optimization sequence, verbatim: one hardcoded
  * sweep with the special-cased extra copy-prop after the peephole.
  */
 void
-legacyOptimize(IrProgram &prog, const CompilerOptions &opts, StatSet &stats)
+legacyOptimize(IrProgram &prog, const PassSwitches &sw, StatSet &stats)
 {
-    if (opts.copyProp)
+    if (sw.copyProp)
         runCopyProp(prog, stats);
-    if (opts.constProp)
+    if (sw.constProp)
         runConstProp(prog, stats);
-    if (opts.pre)
+    if (sw.pre)
         runPre(prog, stats);
-    if (opts.peephole) {
+    if (sw.peephole) {
         runPeephole(prog, stats);
         runCopyProp(prog, stats);
     }
     prog.compact();
 }
 
-/** The fixed-point pipeline over the same option switches. */
+/** A fixed-point run of a pipeline spec, as the compiler's middle end
+ *  runs it. */
 void
-fixedPointOptimize(IrProgram &prog, const CompilerOptions &opts,
+fixedPointOptimize(IrProgram &prog, const std::string &spec,
                    StatSet &stats)
 {
     AnalysisManager analyses;
-    PassManager pm = PassManager::fromSpec(pipelineSpecFromOptions(opts));
-    pm.setMaxIterations(opts.pipelineMaxIterations);
+    PassManager pm = PassManager::fromSpec(spec);
     // Every randomized pipeline run is checkpointed: a pass that leaves
     // malformed IR on any generated program panics here, naming itself.
     pm.setVerifyLevel(1);
     pm.run(prog, analyses, stats);
-    ASSERT_TRUE(pm.converged()) << "pipeline did not converge";
-    prog.compact();
-}
-
-/** A fixed-point run of an *explicit* pipeline spec — the only way to
- *  reach passes (rotalg) that `pipelineSpecFromOptions` never emits. */
-void
-fixedPointOptimizeSpec(IrProgram &prog, const std::string &spec,
-                       StatSet &stats)
-{
-    AnalysisManager analyses;
-    PassManager pm = PassManager::fromSpec(spec);
-    pm.setVerifyLevel(1);
-    pm.run(prog, analyses, stats);
-    ASSERT_TRUE(pm.converged()) << "pipeline did not converge";
+    ASSERT_TRUE(pm.converged()) << "pipeline '" << spec
+                                << "' did not converge";
     prog.compact();
 }
 
@@ -518,26 +543,41 @@ fixedPointOptimizeSpec(IrProgram &prog, const std::string &spec,
  *  it (composition before PRE so net elements are canonical). */
 constexpr const char *kRotalgSpec = "copyprop,constprop,rotalg,pre,peephole";
 
-/** Option presets swept per seed (switch combinations, not specs). */
-std::vector<CompilerOptions>
-optionPresets(Rng &rng)
+/** Switch presets swept per seed against the legacy oracle. */
+std::vector<PassSwitches>
+switchPresets(Rng &rng)
 {
-    std::vector<CompilerOptions> presets;
-    CompilerOptions full; // all four passes on
+    std::vector<PassSwitches> presets;
+    PassSwitches full; // all four passes on
     presets.push_back(full);
-    CompilerOptions mad = full;
+    PassSwitches mad = full;
     mad.peephole = false;
     presets.push_back(mad);
-    CompilerOptions peep_only = full;
+    PassSwitches peep_only = full;
     peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
     presets.push_back(peep_only);
-    CompilerOptions coin; // one random corner per seed
+    PassSwitches coin; // one random corner per seed
     coin.copyProp = rng.uniform(2) == 0;
     coin.constProp = rng.uniform(2) == 0;
     coin.pre = rng.uniform(2) == 0;
     coin.peephole = rng.uniform(2) == 0;
     presets.push_back(coin);
     return presets;
+}
+
+/** A random pipeline spec: a random subset of the registered passes,
+ *  rotalg included, in random order (the empty spec among them). */
+std::string
+randomSpec(Rng &rng)
+{
+    std::vector<std::string> names = knownPassNames();
+    for (size_t i = names.size(); i > 1; --i)
+        std::swap(names[i - 1], names[rng.uniform(i)]);
+    names.resize(rng.uniform(names.size() + 1));
+    std::string spec;
+    for (const std::string &name : names)
+        spec += (spec.empty() ? "" : ",") + name;
+    return spec;
 }
 
 void
@@ -550,14 +590,14 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
 
     Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
     size_t preset_idx = 0;
-    for (const CompilerOptions &opts : optionPresets(rng)) {
+    for (const PassSwitches &sw : switchPresets(rng)) {
         const std::string tag = "seed " + std::to_string(seed) +
                                 " preset " + std::to_string(preset_idx++);
         StatSet stats;
         IrProgram legacy = original;
-        legacyOptimize(legacy, opts, stats);
+        legacyOptimize(legacy, sw, stats);
         IrProgram fixed_point = original;
-        fixedPointOptimize(fixed_point, opts, stats);
+        fixedPointOptimize(fixed_point, specFromSwitches(sw), stats);
 
         EXPECT_EQ(interpret(legacy), mem_original) << tag;
         EXPECT_EQ(interpret(fixed_point), mem_original) << tag;
@@ -566,15 +606,28 @@ checkSemanticEquivalence(uint64_t seed, GenMode mode, size_t target_insts)
         EXPECT_LE(fixed_point.liveCount(), legacy.liveCount()) << tag;
     }
 
-    // The rotalg pipeline (unreachable from the bool switches): the
+    // The rotalg pipeline (unreachable from the legacy switches): the
     // algebraic rewrites must preserve the memory image, never grow the
     // program (in-place rewrites + Auto-restricted DCE only).
     const std::string rtag = "seed " + std::to_string(seed) + " rotalg";
     StatSet rot_stats;
     IrProgram rotalg_opt = original;
-    fixedPointOptimizeSpec(rotalg_opt, kRotalgSpec, rot_stats);
+    fixedPointOptimize(rotalg_opt, kRotalgSpec, rot_stats);
     EXPECT_EQ(interpret(rotalg_opt), mem_original) << rtag;
     EXPECT_LE(rotalg_opt.liveCount(), original.liveCount()) << rtag;
+
+    // One arbitrary spec per seed, from its own stream so the draws
+    // above never shift: any subset and order of the passes must
+    // converge verified and preserve the memory image.
+    Rng spec_rng(seed ^ 0x5851f42d4c957f2dULL);
+    const std::string spec = randomSpec(spec_rng);
+    const std::string stag =
+        "seed " + std::to_string(seed) + " spec '" + spec + "'";
+    StatSet spec_stats;
+    IrProgram spec_opt = original;
+    fixedPointOptimize(spec_opt, spec, spec_stats);
+    EXPECT_EQ(interpret(spec_opt), mem_original) << stag;
+    EXPECT_LE(spec_opt.liveCount(), original.liveCount()) << stag;
 }
 
 // --- Simulator differential -----------------------------------------------
@@ -623,16 +676,18 @@ compileRandomShape(uint64_t seed, size_t target_insts)
     RandomCompile out;
     HardwareConfig &hw = out.hw;
     hw = randomHardware(rng);
+    PassSwitches sw;
+    sw.copyProp = rng.uniform(2) == 0;
+    sw.constProp = rng.uniform(2) == 0;
+    sw.pre = rng.uniform(2) == 0;
+    sw.peephole = rng.uniform(2) == 0;
     CompilerOptions opts;
-    opts.copyProp = rng.uniform(2) == 0;
-    opts.constProp = rng.uniform(2) == 0;
-    opts.pre = rng.uniform(2) == 0;
-    opts.peephole = rng.uniform(2) == 0;
+    opts.pipeline = specFromSwitches(sw);
     opts.schedule = rng.uniform(2) == 0;
     opts.streaming = rng.uniform(2) == 0;
     opts.fifoDepth = 1 + rng.uniform(128);
     // Back-end policy sampling: both schedulers, both allocators, and
-    // (half the time) the rotalg-bearing explicit pipeline — every
+    // (half the time) the rotalg-bearing pipeline — every
     // combination must satisfy the event-vs-reference contract.
     opts.scheduler = rng.uniform(2) == 0 ? "latency" : "critical";
     opts.regalloc = rng.uniform(2) == 0 ? "priority" : "linear";

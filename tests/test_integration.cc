@@ -28,8 +28,8 @@ TEST_P(OptionMatrix, EveryPassComboSimulates)
 {
     const int mask = GetParam();
     CompilerOptions opts;
-    opts.pre = mask & 1;
-    opts.peephole = mask & 2;
+    opts.pipeline = std::string("copyprop,constprop") +
+                    (mask & 1 ? ",pre" : "") + (mask & 2 ? ",peephole" : "");
     opts.schedule = mask & 4;
     opts.streaming = mask & 8;
     opts.sramBytes = size_t(8) << 20;

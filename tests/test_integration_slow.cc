@@ -73,8 +73,7 @@ TEST(PaperScale, EventCoreMatchesLegacyLoopOnFullTrace)
 TEST(PaperScale, EventCoreMatchesLegacyLoopOnUnoptimizedTrace)
 {
     CompilerOptions opts;
-    opts.pre = false;
-    opts.peephole = false;
+    opts.pipeline = "copyprop,constprop";
     opts.schedule = false;
     opts.streaming = false;
     Workload w = buildBootstrapping(paperFhe());
@@ -103,8 +102,9 @@ TEST(PaperScale, SweepEngineRunsCornersAndDesignPoints)
     HardwareConfig hw27 = HardwareConfig::asicEffact27();
     for (int mask : corners) {
         CompilerOptions opts;
-        opts.pre = mask & 1;
-        opts.peephole = mask & 2;
+        opts.pipeline = std::string("copyprop,constprop") +
+                        (mask & 1 ? ",pre" : "") +
+                        (mask & 2 ? ",peephole" : "");
         opts.schedule = mask & 4;
         opts.streaming = mask & 8;
         engine.submit("corner" + std::to_string(mask),

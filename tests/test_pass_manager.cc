@@ -51,22 +51,34 @@ tinyProgram()
     return prog;
 }
 
+/** Which passes the legacy single sweep runs: the per-pass switches
+ *  the compiler options carried before the pipeline spec. */
+struct LegacySweep
+{
+    bool copyProp;
+    bool constProp;
+    bool pre;
+    bool peephole;
+};
+
 /**
  * The pre-pass-manager `Compiler::compile` backend sequence, verbatim:
  * one hardcoded optimization sweep with the special-cased extra
- * copy-prop after the peephole, then the same backend stages. This is
- * the oracle the fixed-point pipeline is pinned against.
+ * copy-prop after the peephole, then the same backend stages (under
+ * `opts`). This is the oracle the fixed-point pipeline is pinned
+ * against.
  */
 MachineProgram
-legacyCompile(IrProgram &prog, const CompilerOptions &opts, StatSet &stats)
+legacyCompile(IrProgram &prog, const LegacySweep &sweep,
+              const CompilerOptions &opts, StatSet &stats)
 {
-    if (opts.copyProp)
+    if (sweep.copyProp)
         runCopyProp(prog, stats);
-    if (opts.constProp)
+    if (sweep.constProp)
         runConstProp(prog, stats);
-    if (opts.pre)
+    if (sweep.pre)
         runPre(prog, stats);
-    if (opts.peephole) {
+    if (sweep.peephole) {
         runPeephole(prog, stats);
         runCopyProp(prog, stats);
     }
@@ -199,27 +211,6 @@ TEST(PipelineSpec, RejectsUnknownAndEmptyNames)
     EXPECT_TRUE(names.empty());
 }
 
-TEST(PipelineSpec, DerivedFromOptionSwitches)
-{
-    CompilerOptions all;
-    EXPECT_EQ(pipelineSpecFromOptions(all),
-              "copyprop,constprop,pre,peephole");
-
-    CompilerOptions none;
-    none.copyProp = none.constProp = none.pre = none.peephole = false;
-    EXPECT_EQ(pipelineSpecFromOptions(none), "");
-
-    CompilerOptions mad;
-    mad.peephole = false;
-    EXPECT_EQ(pipelineSpecFromOptions(mad), "copyprop,constprop,pre");
-
-    // Peephole without copy-prop still gets the Eq. 5 Copy cleanup (the
-    // legacy backend ran it unconditionally after the peephole).
-    CompilerOptions peep_only;
-    peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
-    EXPECT_EQ(pipelineSpecFromOptions(peep_only), "peephole,copyprop");
-}
-
 TEST(PipelineSpec, PresetsAreDeclarative)
 {
     const size_t mb = size_t(8) << 20;
@@ -230,16 +221,11 @@ TEST(PipelineSpec, PresetsAreDeclarative)
               "copyprop,constprop,pre");
     EXPECT_EQ(Platform::fullOptions(mb).pipeline,
               "copyprop,constprop,pre,peephole");
-    // Bool switches and specs agree, so either path builds the same
-    // pipeline.
-    for (auto &opts :
-         {Platform::madEnhancedOptions(mb), Platform::streamingOptions(mb),
-          Platform::fullOptions(mb)})
-        EXPECT_EQ(pipelineSpecFromOptions(opts), opts.pipeline);
+    // The default options run the full preset's middle end.
+    EXPECT_EQ(CompilerOptions().pipeline, Platform::fullOptions(mb).pipeline);
 
-    // The optimized preset is explicit-spec only (rotalg has no bool
-    // switch) and selects the new back-end policies; the four stock
-    // presets above keep the legacy policies.
+    // The optimized preset adds rotalg and selects the new back-end
+    // policies; the four stock presets above keep the legacy policies.
     const CompilerOptions optimized = Platform::optimizedOptions(mb);
     EXPECT_EQ(optimized.pipeline, "copyprop,constprop,rotalg,pre,peephole");
     EXPECT_EQ(optimized.regalloc, "priority");
@@ -396,17 +382,22 @@ TEST(Equivalence, FixedPointMatchesLegacySweepOnAllAblationPresets)
     struct Preset
     {
         const char *name;
+        LegacySweep sweep;
         CompilerOptions opts;
     };
+    // Peephole without copy-prop still gets the Eq. 5 Copy cleanup (the
+    // legacy backend ran it unconditionally after the peephole).
     CompilerOptions peep_only = Platform::fullOptions(sram);
-    peep_only.copyProp = peep_only.constProp = peep_only.pre = false;
-    peep_only.pipeline.clear(); // derive "peephole,copyprop" from bools
+    peep_only.pipeline = "peephole,copyprop";
     const std::vector<Preset> presets = {
-        {"baseline", Platform::baselineOptions(sram)},
-        {"MAD-enhanced", Platform::madEnhancedOptions(sram)},
-        {"streaming", Platform::streamingOptions(sram)},
-        {"full", Platform::fullOptions(sram)},
-        {"peephole-no-copyprop", peep_only},
+        {"baseline", {false, false, false, false},
+         Platform::baselineOptions(sram)},
+        {"MAD-enhanced", {true, true, true, false},
+         Platform::madEnhancedOptions(sram)},
+        {"streaming", {true, true, true, false},
+         Platform::streamingOptions(sram)},
+        {"full", {true, true, true, true}, Platform::fullOptions(sram)},
+        {"peephole-no-copyprop", {false, false, false, true}, peep_only},
     };
     HardwareConfig hw = HardwareConfig::asicEffact27();
     hw.sramBytes = sram;
@@ -416,7 +407,8 @@ TEST(Equivalence, FixedPointMatchesLegacySweepOnAllAblationPresets)
             IrProgram legacy_prog = stock.program;
             StatSet legacy_stats;
             MachineProgram legacy =
-                legacyCompile(legacy_prog, preset.opts, legacy_stats);
+                legacyCompile(legacy_prog, preset.sweep, preset.opts,
+                              legacy_stats);
 
             IrProgram fp_prog = stock.program;
             Compiler compiler(preset.opts);

@@ -269,13 +269,12 @@ TEST(SweepEngine, MoreThreadsThanJobsIsFine)
 
 // --- Verified and cached sweeps --------------------------------------------
 
-/** The serial oracle for a grid, with a forced verify level. */
+/** The serial oracle for a grid. */
 std::vector<SweepResult>
-serialOracle(const std::vector<SweepJob> &jobs, int verify_level = -1)
+serialOracle(const std::vector<SweepJob> &jobs)
 {
     SweepOptions o;
     o.threads = 1;
-    o.verifyLevel = verify_level;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);
@@ -351,13 +350,12 @@ TEST(SweepEngine, VerifiedPresetSweepFourThreads)
         job.build = [fhe] { return buildDbLookup(fhe, 48); };
         job.hw = hw;
         job.copts = copts;
+        job.copts.verifyLevel = 1;
         jobs.push_back(std::move(job));
     }
-    const std::vector<SweepResult> oracle =
-        serialOracle(jobs, /*verify_level=*/1);
+    const std::vector<SweepResult> oracle = serialOracle(jobs);
     SweepOptions o;
     o.threads = 4;
-    o.verifyLevel = 1;
     SweepEngine engine(o);
     for (const SweepJob &job : jobs)
         engine.submit(job);

@@ -90,12 +90,7 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     req.hw.autoUnits = 2;
     req.hw.nttMacReuse = !req.hw.nttMacReuse;
     req.hw.issueWindow = 192;
-    req.copts.copyProp = false;
-    req.copts.constProp = true;
-    req.copts.pre = false;
-    req.copts.peephole = true;
-    req.copts.pipeline = "copyprop,constprop";
-    req.copts.pipelineMaxIterations = 17;
+    req.copts.pipeline = "constprop,peephole,copyprop";
     req.copts.schedule = false;
     req.copts.streaming = true;
     req.copts.sramBytes = size_t(13) << 20;
@@ -125,13 +120,9 @@ TEST(Protocol, RequestRoundTripPreservesEveryField)
     EXPECT_EQ(out.hw.autoUnits, req.hw.autoUnits);
     EXPECT_EQ(out.hw.nttMacReuse, req.hw.nttMacReuse);
     EXPECT_EQ(out.hw.issueWindow, req.hw.issueWindow);
-    EXPECT_EQ(out.copts.copyProp, req.copts.copyProp);
-    EXPECT_EQ(out.copts.constProp, req.copts.constProp);
-    EXPECT_EQ(out.copts.pre, req.copts.pre);
-    EXPECT_EQ(out.copts.peephole, req.copts.peephole);
+    // v3: the pipeline spec is the request's whole middle end.
+    EXPECT_EQ(kProtocolVersion, 3);
     EXPECT_EQ(out.copts.pipeline, req.copts.pipeline);
-    EXPECT_EQ(out.copts.pipelineMaxIterations,
-              req.copts.pipelineMaxIterations);
     EXPECT_EQ(out.copts.schedule, req.copts.schedule);
     EXPECT_EQ(out.copts.streaming, req.copts.streaming);
     EXPECT_EQ(out.copts.fifoDepth, req.copts.fifoDepth);
@@ -445,6 +436,25 @@ TEST(ServiceCore, BadRequestsAreReportedNotExecuted)
     EXPECT_EQ(results[4].status, ServiceStatus::Ok);
     EXPECT_GT(results[4].cycles, 0.0);
     EXPECT_EQ(core.statsSnapshot().get("service.bad_requests"), 4.0);
+}
+
+TEST(ServiceCore, EmptyPipelineIsTheUnoptimizedBaseline)
+{
+    // The empty spec parses, so it is admitted, and runs no pass.
+    ServiceOptions opts;
+    opts.threads = 1;
+    ServiceCore core(opts);
+    ServiceRequest none = smallRequest("no-passes", 32);
+    none.copts.pipeline = "";
+    std::string why;
+    EXPECT_TRUE(validateRequest(none, &why)) << why;
+    core.submit(none);
+    core.submit(smallRequest("full", 32));
+    const std::vector<ServiceResult> results = core.flush();
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results[0].status, ServiceStatus::Ok) << results[0].error;
+    ASSERT_EQ(results[1].status, ServiceStatus::Ok) << results[1].error;
+    EXPECT_GT(results[0].instructions, results[1].instructions);
 }
 
 TEST(ServiceCore, RejectsWhenPendingQueueIsFull)

@@ -481,7 +481,6 @@ TEST(MachVerifier, UnusedLoadCompilesToABoundedRegister)
     // lands it in scratch, and the verifier pins the invariant.
     CompilerOptions opts;
     opts.pipeline = "";
-    opts.copyProp = opts.constProp = opts.pre = opts.peephole = false;
     opts.verifyLevel = 0; // verify explicitly below
     IrProgram prog = unusedLoadProgram();
     Compiler compiler(opts);
@@ -493,7 +492,7 @@ TEST(MachVerifier, UnusedLoadCompilesToABoundedRegister)
 TEST(MachVerifier, InjectedBadRegisterIsCaughtWithTheRightRule)
 {
     CompilerOptions opts;
-    opts.copyProp = opts.constProp = opts.pre = opts.peephole = false;
+    opts.pipeline = "";
     opts.verifyLevel = 0;
     IrProgram prog = unusedLoadProgram();
     Compiler compiler(opts);
@@ -860,6 +859,7 @@ submitVerifiedGrid(SweepEngine &engine)
         job.build = [fhe] { return buildDbLookup(fhe, 32); };
         job.hw = hw;
         job.copts = opts;
+        job.copts.verifyLevel = 1;
         engine.submit(std::move(job));
     }
 }
@@ -873,7 +873,6 @@ TEST(VerifiedWorkloads, CleanAtEveryBoundaryAcrossPresetsAndThreads)
     for (size_t threads : {size_t(1), size_t(2), size_t(8)}) {
         SweepOptions sopts;
         sopts.threads = threads;
-        sopts.verifyLevel = 1; // batch-wide override
         SweepEngine engine(sopts);
         submitVerifiedGrid(engine);
         const std::vector<SweepResult> &results = engine.runAll();
@@ -923,7 +922,6 @@ TEST(SlowVerify, StockWorkloadsAllPresetsVerifyClean)
     for (size_t threads : {size_t(1), size_t(8)}) {
         SweepOptions sopts;
         sopts.threads = threads;
-        sopts.verifyLevel = 1;
         sopts.compileCache = &cache;
         SweepEngine engine(sopts);
         int preset_idx = 0;
@@ -935,6 +933,7 @@ TEST(SlowVerify, StockWorkloadsAllPresetsVerifyClean)
                 job.build = w.build;
                 job.hw = hw;
                 job.copts = opts;
+                job.copts.verifyLevel = 1;
                 engine.submit(std::move(job));
             }
             ++preset_idx;

@@ -179,6 +179,26 @@ TEST(Workloads, MinLevelsAreExactlyWhatTheBuildersConsume)
     EXPECT_EQ(below.findings[0].rule, "ir.mem.index");
 }
 
+TEST(Workloads, BootstrapAmortizesOverTheLevelsItLeaves)
+{
+    // T_A.S. divides by slots x the levels left after bootstrapping:
+    // at L = 24 it consumes 17 of the 25 chain levels (4 CtS + 1 EvalMod
+    // scaling + 9 sine + 3 StC), leaving 7.
+    const BootstrapBudget budget;
+    const Workload w = buildBootstrapping(paperParams(), budget);
+    EXPECT_EQ(w.amortizeFactor, double(budget.slots) * 7.0);
+
+    // At the minimum one level is left.
+    FheParams p;
+    p.logN = 12;
+    p.dnum = 2;
+    p.levels = budget.minLevels();
+    BootstrapBudget small;
+    small.slots = p.degree() / 2;
+    EXPECT_EQ(buildBootstrapping(p, small).amortizeFactor,
+              double(small.slots));
+}
+
 TEST(Workloads, BconvMatchesAnalyticCounts)
 {
     FheParams p = paperParams();
