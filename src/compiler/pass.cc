@@ -52,10 +52,10 @@ Compiler::compile(IrProgram &prog, AnalysisManager &analyses,
 
 void
 Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                        CompileCache *cache, CompileCacheKey *key_out)
+                        CompileCache *cache)
 {
-    stats_.clear();
     if (cache == nullptr) {
+        stats_.clear();
         runMiddleEnd(prog, analyses, stats_);
         return;
     }
@@ -63,8 +63,6 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
     // The cache key is computed over the *input* program; the build
     // below mutates it, so key first.
     const CompileCacheKey key = middleEndCacheKey(prog, opts_);
-    if (key_out != nullptr)
-        *key_out = key;
     bool hit = false;
     std::shared_ptr<const MiddleEndSnapshot> snap = cache->getOrBuild(
         key,
@@ -84,19 +82,13 @@ Compiler::compileMiddle(IrProgram &prog, AnalysisManager &analyses,
     // Replaying the snapshot's stats (also on the miss path, where they
     // are exactly what runMiddleEnd just recorded) keeps hit and miss
     // compiles byte-identical except for the cache.hit marker.
-    replay(*snap, hit);
+    adoptSnapshot(*snap, hit);
 }
 
 void
-Compiler::adoptSnapshot(const MiddleEndSnapshot &snap)
+Compiler::adoptSnapshot(const MiddleEndSnapshot &snap, bool hit)
 {
     stats_.clear();
-    replay(snap, true);
-}
-
-void
-Compiler::replay(const MiddleEndSnapshot &snap, bool hit)
-{
     stats_.merge(snap.stats);
     stats_.set("cache.hit", hit ? 1 : 0);
 }

@@ -160,7 +160,6 @@ MachineProgram runRegAllocAndCodegen(const IrProgram &prog,
                                      StatSet &stats);
 
 class CompileCache;       // compiler/compile_cache.h
-struct CompileCacheKey;   // compiler/compile_cache.h
 struct MiddleEndSnapshot; // compiler/compile_cache.h
 
 /**
@@ -204,22 +203,19 @@ class Compiler
      * alone (pipeline to fixed point, or snapshot adoption on a cache
      * hit). Resets the compiler's stats. Pairs with `compileBack`; the
      * pair is exactly `compile(prog, analyses, cache)` split at the
-     * hardware boundary. With a cache, `key_out` (optional) receives
-     * the key it consulted, so a caller can memoize a recipe to it
-     * without fingerprinting the program again.
+     * hardware boundary.
      */
     void compileMiddle(IrProgram &prog, AnalysisManager &analyses,
-                       CompileCache *cache,
-                       CompileCacheKey *key_out = nullptr);
+                       CompileCache *cache);
 
     /**
-     * The zero-copy alternative to `compileMiddle`'s hit: resets the
-     * stats and replays `snap`'s middle-end statistics with the
-     * `cache.hit` marker, exactly as that hit does, but adopts no
-     * program — the caller runs `compileBack` on `snap.optimized`
-     * itself.
+     * Resets the stats and replays `snap`'s middle-end statistics plus
+     * the `cache.hit` marker (`hit` says whether the snapshot came from
+     * the cache or from this job's own build), as `compileMiddle` does
+     * after its lookup, but adopts no program: the caller runs
+     * `compileBack` on `snap.optimized` itself (zero copy).
      */
-    void adoptSnapshot(const MiddleEndSnapshot &snap);
+    void adoptSnapshot(const MiddleEndSnapshot &snap, bool hit);
 
     /** Staged variant of `compile`, stage 2: the back end over the
      *  program `compileMiddle` optimized. Appends to the stats
@@ -255,10 +251,6 @@ class Compiler
     const CompilerOptions &options() const { return opts_; }
 
   private:
-    /** Replays a snapshot's middle-end stats plus the `cache.hit`
-     *  marker into the (freshly reset) stats. */
-    void replay(const MiddleEndSnapshot &snap, bool hit);
-
     CompilerOptions opts_;
     StatSet stats_;
 };

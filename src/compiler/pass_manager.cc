@@ -1,6 +1,5 @@
 #include "compiler/pass_manager.h"
 
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 
@@ -39,72 +38,38 @@ AnalysisManager::depGraph(const IrProgram &prog, StatSet &stats)
     return graph_;
 }
 
-void
-AnalysisManager::invalidateAll()
-{
-    aliasUid_ = kNoVersion;
-    aliasVersion_ = kNoVersion;
-    aliasEdges_.clear();
-    graphUid_ = kNoVersion;
-    graphVersion_ = kNoVersion;
-    graph_ = DepGraph();
-}
-
-// --- Pass adapters over the legacy pass functions -------------------------
+// --- Pass registry -------------------------------------------------------
 
 namespace {
 
-/**
- * Wraps one of the `run*(IrProgram&, StatSet&) -> size_t` pass
- * functions: the rewrite count the function returns is the change
- * signal, and the adapter bumps the program version exactly when it is
- * non-zero.
- */
-class FnPass : public Pass
-{
-  public:
-    using Fn = size_t (*)(IrProgram &, StatSet &);
-
-    FnPass(const char *pass_name, Fn fn) : name_(pass_name), fn_(fn) {}
-
-    const char *name() const override { return name_; }
-
-    bool run(IrProgram &prog, AnalysisManager &, StatSet &stats) override
-    {
-        const bool changed = fn_(prog, stats) > 0;
-        if (changed)
-            prog.bumpVersion();
-        return changed;
-    }
-
-  private:
-    const char *name_;
-    Fn fn_;
+/** Every optimization pass, in canonical pipeline order. */
+constexpr PassInfo kPasses[] = {
+    {"copyprop", &runCopyProp}, {"constprop", &runConstProp},
+    {"pre", &runPre},           {"peephole", &runPeephole},
+    {"rotalg", &runRotAlg},
 };
 
-} // namespace
-
-std::unique_ptr<Pass>
-createPass(const std::string &name)
+/** The registry row named `name`, or null. */
+const PassInfo *
+findPass(const std::string &name)
 {
-    if (name == "copyprop")
-        return std::make_unique<FnPass>("copyprop", &runCopyProp);
-    if (name == "constprop")
-        return std::make_unique<FnPass>("constprop", &runConstProp);
-    if (name == "pre")
-        return std::make_unique<FnPass>("pre", &runPre);
-    if (name == "peephole")
-        return std::make_unique<FnPass>("peephole", &runPeephole);
-    if (name == "rotalg")
-        return std::make_unique<FnPass>("rotalg", &runRotAlg);
+    for (const PassInfo &pass : kPasses)
+        if (name == pass.name)
+            return &pass;
     return nullptr;
 }
+
+} // namespace
 
 const std::vector<std::string> &
 knownPassNames()
 {
-    static const std::vector<std::string> names = {
-        "copyprop", "constprop", "pre", "peephole", "rotalg"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const PassInfo &pass : kPasses)
+            v.emplace_back(pass.name);
+        return v;
+    }();
     return names;
 }
 
@@ -140,13 +105,12 @@ parsePipelineSpec(const std::string &spec, std::vector<std::string> *names,
             return false;
         }
         saw_field = true;
-        const std::vector<std::string> &known = knownPassNames();
-        if (std::find(known.begin(), known.end(), token) == known.end()) {
+        if (findPass(token) == nullptr) {
             if (error) {
                 *error = "unknown pass '" + token + "' in pipeline spec '" +
                          spec + "' (known:";
-                for (const std::string &known_name : known)
-                    *error += " " + known_name;
+                for (const PassInfo &pass : kPasses)
+                    *error += std::string(" ") + pass.name;
                 *error += ")";
             }
             return false;
@@ -170,31 +134,24 @@ PassManager::fromSpec(const std::string &spec)
         fatal("bad compiler pipeline: %s", error.c_str());
     PassManager pm;
     for (const std::string &name : names)
-        pm.add(createPass(name));
+        pm.passes_.push_back(findPass(name));
     return pm;
-}
-
-void
-PassManager::add(std::unique_ptr<Pass> pass)
-{
-    EFFACT_ASSERT(pass != nullptr, "null pass added to pipeline");
-    passes_.push_back(std::move(pass));
 }
 
 std::string
 PassManager::spec() const
 {
     std::string s;
-    for (const auto &pass : passes_) {
+    for (const PassInfo *pass : passes_) {
         if (!s.empty())
             s += ',';
-        s += pass->name();
+        s += pass->name;
     }
     return s;
 }
 
 size_t
-PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
+PassManager::run(IrProgram &prog, AnalysisManager &, StatSet &stats)
 {
     using Clock = std::chrono::steady_clock;
     converged_ = true;
@@ -212,7 +169,7 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
     // a loud non-convergence instead of an endless compile.
     //
     // A pass whose input version is unchanged since its own last run is
-    // skipped outright (sound by the Pass::run own-fixed-point
+    // skipped outright (sound by the `PassInfo` own-fixed-point
     // contract): the expensive quiescent re-verification runs collapse
     // to the passes that actually saw new IR.
     constexpr uint64_t kNeverRan = ~uint64_t(0);
@@ -221,18 +178,19 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
         ++sweeps;
         bool sweep_changed = false;
         for (size_t i = 0; i < passes_.size(); ++i) {
-            const Pass &pass_ref = *passes_[i];
-            const std::string prefix =
-                std::string("pass.") + pass_ref.name();
+            const PassInfo &pass = *passes_[i];
+            const std::string prefix = std::string("pass.") + pass.name;
             if (last_seen[i] == prog.version()) {
                 stats.add(prefix + ".skipped", 1);
                 continue;
             }
             const size_t live_before = prog.liveCount();
             const Clock::time_point t0 = Clock::now();
-            const bool changed = passes_[i]->run(prog, analyses, stats);
+            const bool changed = pass.run(prog, stats) > 0;
             const std::chrono::duration<double, std::milli> ms =
                 Clock::now() - t0;
+            if (changed)
+                prog.bumpVersion();
             last_seen[i] = prog.version();
             stats.add(prefix + ".ms", ms.count());
             stats.add(prefix + ".removed",
@@ -250,9 +208,8 @@ PassManager::run(IrProgram &prog, AnalysisManager &analyses, StatSet &stats)
                     Clock::now() - v0;
                 stats.add("verify.checks", double(vr.checksRun));
                 stats.add("verify.ms", vms.count());
-                enforceVerified(vr, (std::string("pass '") +
-                                     pass_ref.name() + "'")
-                                        .c_str());
+                enforceVerified(
+                    vr, (std::string("pass '") + pass.name + "'").c_str());
             }
         }
         if (!sweep_changed) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Pass-manager layer of the compiler backend (Sec. IV-B): a `Pass`
- * interface over the SSA optimizations, an `AnalysisManager` that
+ * Pass-manager layer of the compiler backend (Sec. IV-B): a registry
+ * table of the SSA optimizations, an `AnalysisManager` that
  * caches derived analyses (alias-dependence edges, the IR-level
  * `sched::DepGraph`) keyed on `IrProgram::version()`, and a
  * `PassManager` that runs a declarative pipeline to a bounded fixed
@@ -15,7 +15,6 @@
 #ifndef EFFACT_COMPILER_PASS_MANAGER_H
 #define EFFACT_COMPILER_PASS_MANAGER_H
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,9 +45,6 @@ class AnalysisManager
      *  (built through, and cached by, `aliasEdges`). */
     const DepGraph &depGraph(const IrProgram &prog, StatSet &stats);
 
-    /** Drops every cached analysis (version keying normally suffices). */
-    void invalidateAll();
-
   private:
     static constexpr uint64_t kNoVersion = ~uint64_t(0);
 
@@ -64,30 +60,22 @@ class AnalysisManager
     DepGraph graph_;
 };
 
-/** One unit of IR transformation runnable by the `PassManager`. */
-class Pass
+/**
+ * One registered optimization pass: its spec token and the function
+ * that runs it, returning its rewrite count (0 = the IR is unchanged;
+ * the `PassManager` bumps `prog.version()` exactly when it is not, so
+ * cached analyses stay sound without being dropped needlessly).
+ *
+ * Contract: one call reaches the pass's own fixed point — re-running
+ * immediately, with no intervening IR change, finds nothing (every
+ * stock pass iterates forward through resolved operands, so a single
+ * call is transitive). The manager relies on this to skip a pass whose
+ * input version is unchanged since its last run.
+ */
+struct PassInfo
 {
-  public:
-    virtual ~Pass() = default;
-
-    /** Stable identifier; also the token used in pipeline specs. */
-    virtual const char *name() const = 0;
-
-    /**
-     * Transforms `prog`; returns true iff the IR changed. An
-     * implementation that mutates the program in place must bump
-     * `prog.version()` exactly when it reports a change, so cached
-     * analyses stay sound without being dropped needlessly.
-     *
-     * Contract: one `run` call reaches the pass's own fixed point —
-     * re-running immediately, with no intervening IR change, finds
-     * nothing (all four stock passes iterate forward through resolved
-     * operands, so a single call is transitive). The manager relies on
-     * this to skip a pass whose input version is unchanged since its
-     * last run.
-     */
-    virtual bool run(IrProgram &prog, AnalysisManager &analyses,
-                     StatSet &stats) = 0;
+    const char *name;
+    size_t (*run)(IrProgram &prog, StatSet &stats);
 };
 
 /**
@@ -121,8 +109,6 @@ class PassManager
      */
     static PassManager fromSpec(const std::string &spec);
 
-    void add(std::unique_ptr<Pass> pass);
-
     size_t passCount() const { return passes_.size(); }
 
     /** Round-trips the pipeline back to its spec string. */
@@ -135,7 +121,6 @@ class PassManager
      * recorded under `verify.checks` / `verify.ms`.
      */
     void setVerifyLevel(int level) { verifyLevel_ = level; }
-    int verifyLevel() const { return verifyLevel_; }
 
     /**
      * Runs the pipeline on `prog` to a fixed point; returns the number
@@ -147,19 +132,13 @@ class PassManager
     bool converged() const { return converged_; }
 
   private:
-    std::vector<std::unique_ptr<Pass>> passes_;
+    std::vector<const PassInfo *> passes_; ///< rows of the registry
     int verifyLevel_ = 0;
     bool converged_ = true;
 };
 
-/**
- * Creates an optimization pass by registry name (`"copyprop"`,
- * `"constprop"`, `"pre"`, `"peephole"`, `"rotalg"`); nullptr if
- * unknown.
- */
-std::unique_ptr<Pass> createPass(const std::string &name);
-
-/** Registry names in canonical pipeline order. */
+/** Registry names in canonical pipeline order (`"copyprop"`,
+ *  `"constprop"`, `"pre"`, `"peephole"`, `"rotalg"`). */
 const std::vector<std::string> &knownPassNames();
 
 /**

@@ -30,7 +30,7 @@ IrProgram::compact()
         return; // nothing dead: ids (and cached analyses) stay valid
     std::vector<int> remap(insts.size(), -1);
     std::vector<IrInst> kept;
-    kept.reserve(insts.size());
+    kept.reserve(liveCount());
     for (size_t i = 0; i < insts.size(); ++i) {
         if (insts[i].dead)
             continue;

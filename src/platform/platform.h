@@ -26,9 +26,9 @@ struct PlatformResult
      * Per-stage wall-clock of this job (`job.middle.ms`,
      * `job.backend.ms`, `job.sim.ms`, and `job.fingerprint.ms` from
      * `assemble`; the batch engine adds `job.ir.ms` for workload
-     * construction, 0 when its recipe memo skipped the build). Host
-     * timings, not simulated ones — the one result family that is
-     * *not* deterministic; `SweepEngine` aggregates it so perf lanes
+     * construction, 0 when a recipe-keyed cache hit skipped the
+     * build). Host timings, not simulated ones — the one result family
+     * that is *not* deterministic; `SweepEngine` aggregates it so perf lanes
      * can see where a job's latency goes.
      */
     StatSet jobStats;
@@ -71,7 +71,8 @@ class Platform
     // `run` is exactly `Compiler::compileMiddle` + `runBack`, and
     // `runBack` is `Compiler::compileBack` + `simulate` + `assemble`. A
     // driver that gets its middle end elsewhere (the batch engine's
-    // recipe memo) calls the pieces itself; the result is identical.
+    // recipe-keyed cache entries) calls the pieces itself; the result
+    // is identical.
 
     /** A compiler configured for this platform (hardware-adjusted
      *  options: `sramBytes`, `issueWindow`). */
@@ -97,7 +98,6 @@ class Platform
                             const WorkloadInfo &info, SimReport sim) const;
 
     const HardwareConfig &hardware() const { return hw_; }
-    const CompilerOptions &compilerOptions() const { return copts_; }
 
     // --- Fig. 11 ablation presets ---------------------------------------
 

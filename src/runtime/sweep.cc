@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <thread>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "compiler/pass_manager.h"
 
@@ -20,7 +19,7 @@ using Ms = std::chrono::duration<double, std::milli>;
 
 /**
  * Runs one job start to finish. The job owns its `AnalysisManager`:
- * recipe hits share one snapshot program (one uid) across jobs, and a
+ * recipe-keyed jobs share one snapshot program (one uid), and a
  * manager reused across them would turn a later job's analysis builds
  * into cache hits, making `analysis.*` stats depend on which worker ran
  * which job.
@@ -44,37 +43,33 @@ runJob(const SweepJob &job, size_t index, CompileCache *cache)
         return r;
     }
 
-    // Recipe path: a memo hit builds no IR and reads the shared
-    // snapshot in place; a miss is the ordinary path above, recorded in
-    // the memo for the next job of this recipe.
+    // Recipe path: the recipe hash keys the snapshot directly. A miss
+    // builds the IR and moves the optimized program into the new entry;
+    // a hit builds nothing. Either way the back end reads the shared
+    // snapshot in place.
     Compiler compiler = platform.makeCompiler();
-    const RecipeKey key{*job.recipe, middleEndPresetHash(compiler.options())};
-    std::optional<Workload> workload;
-    WorkloadInfo info;
+    const CompileCacheKey key{*job.recipe,
+                              middleEndPresetHash(compiler.options())};
     double ir_ms = 0;
+    bool hit = false;
     const Clock::time_point t0 = Clock::now();
-    const std::shared_ptr<const MiddleEndSnapshot> snap =
-        cache->getOrBuildRecipe(
-            key,
-            [&] {
-                const Clock::time_point b0 = Clock::now();
-                workload.emplace(job.build());
-                ir_ms = Ms(Clock::now() - b0).count();
-                RecipeMemo memo;
-                compiler.compileMiddle(workload->program, analyses, cache,
-                                       &memo.snapshot);
-                memo.info = *workload;
-                return memo;
-            },
-            &info);
-    if (snap != nullptr)
-        compiler.adoptSnapshot(*snap);
+    const std::shared_ptr<const MiddleEndSnapshot> snap = cache->getOrBuild(
+        key,
+        [&] {
+            const Clock::time_point b0 = Clock::now();
+            Workload workload = job.build();
+            ir_ms = Ms(Clock::now() - b0).count();
+            MiddleEndSnapshot built;
+            compiler.runMiddleEnd(workload.program, analyses, built.stats);
+            built.optimized = std::move(workload.program);
+            built.info = workload;
+            return built;
+        },
+        &hit);
+    compiler.adoptSnapshot(*snap, hit);
     const double middle_ms = Ms(Clock::now() - t0).count() - ir_ms;
-    r.platform = snap != nullptr
-                     ? platform.runBack(compiler, snap->optimized, info,
-                                        analyses)
-                     : platform.runBack(compiler, workload->program,
-                                        *workload, analyses);
+    r.platform = platform.runBack(compiler, snap->optimized, snap->info,
+                                  analyses);
     r.platform.jobStats.set("job.ir.ms", ir_ms);
     r.platform.jobStats.set("job.middle.ms", middle_ms);
     return r;
@@ -99,17 +94,8 @@ accumulate(StatSet &agg, const std::string &key, double value)
 size_t
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("EFFACT_THREADS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<size_t>(v);
-        warn("ignoring invalid EFFACT_THREADS='%s' (want a positive "
-             "integer)",
-             env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
+    return envSize("EFFACT_THREADS", hw == 0 ? 1 : size_t(hw));
 }
 
 size_t

@@ -55,13 +55,13 @@ struct SweepJob
     /**
      * Optional recipe hash, for a `build` whose workload is a pure
      * function of a small recipe (the service's `WorkloadRecipe`: the
-     * workload kind, every `FheParams` field and the kind's parameter):
-     * equal hashes must build equal workloads. With a shared cache the
-     * engine memoizes (recipe, preset) to the published snapshot, so a
-     * later job of the same recipe at any hardware point builds no IR
-     * and runs its back end on the shared snapshot without copying it
-     * (`job.ir.ms` is then 0 and `job.middle.ms` is the memo lookup).
-     * Unset = build every time (fig11 grids, tests).
+     * workload kind and the `FheParams` fields and parameter its builder
+     * reads): equal hashes must build equal workloads. With a shared
+     * cache the hash stands in for the IR fingerprint in the job's
+     * `CompileCacheKey`, so only the first job of a (recipe, preset)
+     * builds IR; every job runs its back end on the shared snapshot
+     * without copying it (`job.ir.ms` is 0 on a hit and `job.middle.ms`
+     * is the lookup). Unset = build every time (fig11 grids, tests).
      */
     std::optional<uint64_t> recipe;
     HardwareConfig hw;

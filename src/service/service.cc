@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/env.h"
 #include "common/logging.h"
 #include "compiler/pass_manager.h"
 #include "ir/workloads.h"
@@ -19,20 +19,6 @@ namespace effact {
 namespace {
 
 using Ms = std::chrono::duration<double, std::milli>;
-
-size_t
-envSize(const char *name, size_t fallback)
-{
-    if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<size_t>(v);
-        warn("ignoring invalid %s='%s' (want a positive integer)", name,
-             env);
-    }
-    return fallback;
-}
 
 bool
 inRange(uint64_t v, uint64_t lo, uint64_t hi)
@@ -134,7 +120,12 @@ validateRequest(const ServiceRequest &req, std::string *error)
 WorkloadRecipe
 workloadRecipe(const ServiceRequest &req)
 {
-    return {req.workload, req.fhe, req.param};
+    WorkloadRecipe recipe{req.workload, req.fhe, 0};
+    if (req.workload == "tfhe")
+        recipe.fhe = FheParams(); // buildTfheBootstrap takes none
+    if (req.workload == "dblookup")
+        recipe.param = req.param == 0 ? 256 : req.param;
+    return recipe;
 }
 
 uint64_t
@@ -167,8 +158,7 @@ makeWorkloadBuild(const WorkloadRecipe &recipe)
 {
     const FheParams fhe = recipe.fhe;
     if (recipe.workload == "dblookup") {
-        const size_t records =
-            recipe.param == 0 ? 256 : static_cast<size_t>(recipe.param);
+        const size_t records = static_cast<size_t>(recipe.param);
         return [fhe, records] { return buildDbLookup(fhe, records); };
     }
     if (recipe.workload == "bootstrap") {

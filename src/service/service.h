@@ -88,11 +88,11 @@ ServiceOptions oracleOptions(const ServiceOptions &base);
 bool validateRequest(const ServiceRequest &req, std::string *error);
 
 /**
- * Everything a request's IR is built from: the workload kind, every
- * `FheParams` field and the kind's parameter. The IR is a pure function
- * of it, so `makeWorkloadBuild` and `recipeHash` both read exactly this
- * struct — a field the builder starts to use is one the hash already
- * covers.
+ * Everything a request's IR is built from, and nothing else: the
+ * workload kind, the `FheParams` fields and the kind's parameter that
+ * its builder reads. The IR is a pure function of it, so
+ * `makeWorkloadBuild` and `recipeHash` both read exactly this struct — a
+ * field the builder starts to use is one the hash already covers.
  */
 struct WorkloadRecipe
 {
@@ -101,15 +101,20 @@ struct WorkloadRecipe
     uint64_t param = 0;
 };
 
-/** The recipe of a request (its workload, fhe and param fields). */
+/**
+ * The recipe of a request, canonical: fields the kind's builder ignores
+ * are reset (`fhe` for `tfhe`, `param` for every kind but `dblookup`)
+ * and `dblookup`'s default `param` 0 becomes its 256 records, so
+ * requests that build the same IR share one recipe.
+ */
 WorkloadRecipe workloadRecipe(const ServiceRequest &req);
 
 /** FNV-1a over every recipe field: the `SweepJob::recipe` that lets a
  *  warm request skip its IR build. */
 uint64_t recipeHash(const WorkloadRecipe &recipe);
 
-/** The workload factory for a *validated* request's recipe (a
- *  `SweepJob::build`: safe to invoke on any worker thread). */
+/** The workload factory for a *validated* request's `workloadRecipe`
+ *  (a `SweepJob::build`: safe to invoke on any worker thread). */
 std::function<Workload()> makeWorkloadBuild(const WorkloadRecipe &recipe);
 
 /**

@@ -6,8 +6,8 @@
  * flight hit/miss accounting, and the central soundness claim — a
  * cache hit is byte-identical to the uncached compile it replaces,
  * including when the cache is shared across 8 concurrent workers — and
- * the recipe memo in front of it (zero-copy hits, eviction, single
- * flight, recipe-field separation).
+ * recipe-keyed entries (zero-copy hits, eviction, single flight,
+ * recipe-field separation).
  */
 #include <gtest/gtest.h>
 
@@ -714,143 +714,85 @@ TEST(BoundedLru, SweepWithTinyBudgetMatchesUncachedSerial)
     }
 }
 
-// --- Recipe memo -----------------------------------------------------------
+// --- Recipe keys ---------------------------------------------------------
 
-/** A memo build that publishes `synthSnapshot(i)` under `synthKey(i)`
- *  and records it, counting its runs. */
-std::function<RecipeMemo()>
-synthRecipeBuild(CompileCache &cache, uint64_t i, std::atomic<int> &builds)
+/** A recipe job of `records`-record db-lookup under `recipe`, counting
+ *  its IR builds in `builds`. */
+SweepJob
+recipeJob(uint64_t recipe, size_t records, size_t sram_mb,
+          std::atomic<int> &builds)
 {
-    return [&cache, i, &builds] {
+    SweepJob job;
+    job.name = "recipe" + std::to_string(recipe) + "/sram" +
+               std::to_string(sram_mb);
+    job.build = [records, &builds] {
         ++builds;
-        cache.getOrBuild(synthKey(i), [i] { return synthSnapshot(i); });
-        RecipeMemo memo;
-        memo.snapshot = synthKey(i);
-        memo.info.repeat = double(i);
-        return memo;
+        return buildDbLookup(smallFhe(), records);
     };
+    job.recipe = recipe;
+    job.hw = HardwareConfig::asicEffact27();
+    job.hw.sramBytes = sram_mb << 20;
+    job.copts = Platform::fullOptions(job.hw.sramBytes);
+    return job;
 }
 
-TEST(RecipeMemo, SecondRequestHitsWithoutBuilding)
+TEST(RecipeKeys, ConcurrentJobsOfOneRecipeBuildOnce)
 {
+    // Eight workers take eight jobs of one recipe at once: one IR build
+    // and one middle end, seven hits that build nothing, and every job
+    // compiles the same machine code.
     CompileCache cache;
     std::atomic<int> builds{0};
-    const RecipeKey key{42, 0x5eed};
-    WorkloadInfo info;
-    EXPECT_EQ(cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
-                                     &info),
-              nullptr);
-    const std::shared_ptr<const MiddleEndSnapshot> snap =
-        cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
-                               &info);
-    ASSERT_NE(snap, nullptr);
+    SweepEngine engine({8, &cache});
+    for (size_t j = 0; j < 8; ++j)
+        engine.submit(recipeJob(0xdb40, 40, 27, builds));
+    const std::vector<SweepResult> &results = engine.runAll();
     EXPECT_EQ(builds.load(), 1);
-    EXPECT_EQ(snap->stats.get("synthetic.id"), 3.0);
-    EXPECT_EQ(info.repeat, 3.0);
-
-    // The memo hit counts like a snapshot hit, plus its own counter.
     const StatSet cs = cache.statsSnapshot();
-    EXPECT_EQ(cs.get("cache.lookups"), 2.0);
-    EXPECT_EQ(cs.get("cache.hits"), 1.0);
-    EXPECT_EQ(cs.get("cache.misses"), 1.0);
-    EXPECT_EQ(cs.get("cache.frontend_skipped"), 1.0);
-    EXPECT_EQ(cs.get("cache.recipe_hits"), 1.0);
-
-    // Another preset half is another memo entry.
-    EXPECT_EQ(cache.getOrBuildRecipe({42, 0xbeef},
-                                     synthRecipeBuild(cache, 3, builds),
-                                     &info),
-              nullptr);
-    EXPECT_EQ(builds.load(), 2);
-
-    // clear() drops the memo along with the snapshots.
-    cache.clear();
-    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 0.0);
-    EXPECT_EQ(cache.getOrBuildRecipe(key, synthRecipeBuild(cache, 3, builds),
-                                     &info),
-              nullptr);
-    EXPECT_EQ(builds.load(), 3);
+    EXPECT_EQ(cs.get("cache.lookups"), 8.0);
+    EXPECT_EQ(cs.get("cache.hits"), 7.0);
+    EXPECT_EQ(cs.get("cache.entries"), 1.0);
+    EXPECT_EQ(engine.aggregates().get("compile.cache.hit.sum"), 7.0);
+    for (const SweepResult &r : results)
+        EXPECT_EQ(r.platform.machineFingerprint,
+                  results[0].platform.machineFingerprint)
+            << r.name;
 }
 
-TEST(RecipeMemo, EvictedSnapshotRebuildsAndMemoNeverHoldsIt)
+TEST(RecipeKeys, OneSnapshotBudgetBoundsEntriesOverManyRecipes)
 {
-    // Budget below one entry: the snapshot is evicted right after it
-    // is published, and the memo (which holds only its key) must not
-    // serve it again — the next request rebuilds.
-    const size_t entry = snapshotBytes(synthSnapshot(0));
-    CompileCache cache(entry / 2);
+    // Recipe entries live under the store's byte budget like any other:
+    // with room for one snapshot, 200 distinct recipes leave at most one
+    // entry behind, and it is the last recipe's, which still hits.
     std::atomic<int> builds{0};
-    const RecipeKey key{7, 0x5eed};
-    WorkloadInfo info;
-    for (int round = 0; round < 3; ++round)
-        EXPECT_EQ(cache.getOrBuildRecipe(
-                      key, synthRecipeBuild(cache, 1, builds), &info),
-                  nullptr)
-            << round;
-    EXPECT_EQ(builds.load(), 3);
-    const StatSet cs = cache.statsSnapshot();
-    EXPECT_EQ(cs.get("cache.misses"), 3.0);
-    EXPECT_EQ(cs.get("cache.recipe_hits"), 0.0);
-    EXPECT_EQ(cs.get("cache.entries"), 0.0);
-}
+    CompileCache probe(size_t(1) << 40);
+    SweepEngine sizing({1, &probe});
+    sizing.submit(recipeJob(0, 8, 27, builds));
+    sizing.runAll();
+    const size_t entry = probe.currentBytes();
+    ASSERT_GT(entry, 0u);
 
-TEST(RecipeMemo, StaleEntriesArePrunedUnderABudget)
-{
-    // A budget of one snapshot and 200 distinct recipes: the memo must
-    // not keep an entry per recipe ever seen, only ones it can serve
-    // (plus slack up to the next prune).
-    const size_t entry = snapshotBytes(synthSnapshot(0));
+    builds = 0;
     CompileCache cache(entry);
-    std::atomic<int> builds{0};
-    WorkloadInfo info;
+    SweepEngine engine({1, &cache});
     for (uint64_t r = 0; r < 200; ++r)
-        cache.getOrBuildRecipe({r, 0x5eed},
-                               synthRecipeBuild(cache, r, builds), &info);
+        engine.submit(recipeJob(r, 8, 27, builds));
+    engine.runAll();
     EXPECT_EQ(builds.load(), 200);
-    EXPECT_LE(cache.statsSnapshot().get("cache.recipe_entries"), 64.0);
-    // The one recipe whose snapshot is still stored is still served.
-    EXPECT_NE(cache.getOrBuildRecipe({199, 0x5eed},
-                                     synthRecipeBuild(cache, 199, builds),
-                                     &info),
-              nullptr);
-    EXPECT_EQ(builds.load(), 200);
-}
+    EXPECT_LE(cache.statsSnapshot().get("cache.entries"), 1.0);
 
-TEST(RecipeMemo, SingleFlightUnderContention)
-{
-    // Eight threads request one recipe at once: one build, seven memo
-    // hits, every requester served the same snapshot.
-    CompileCache cache;
-    std::atomic<int> builds{0};
-    std::vector<std::thread> threads;
-    std::atomic<int> hits{0};
-    for (int t = 0; t < 8; ++t)
-        threads.emplace_back([&] {
-            WorkloadInfo info;
-            const auto slow_build = [&cache, &builds] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(5));
-                return synthRecipeBuild(cache, 5, builds)();
-            };
-            const auto snap =
-                cache.getOrBuildRecipe({9, 0x5eed}, slow_build, &info);
-            if (snap != nullptr) {
-                EXPECT_EQ(snap->stats.get("synthetic.id"), 5.0);
-                EXPECT_EQ(info.repeat, 5.0);
-                ++hits;
-            }
-        });
-    for (std::thread &th : threads)
-        th.join();
-    EXPECT_EQ(builds.load(), 1);
-    EXPECT_EQ(hits.load(), 7);
-    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 7.0);
-    EXPECT_EQ(cache.statsSnapshot().get("cache.lookups"), 8.0);
+    SweepEngine again({1, &cache});
+    again.submit(recipeJob(199, 8, 13, builds));
+    const std::vector<SweepResult> &hit = again.runAll();
+    EXPECT_EQ(builds.load(), 200);
+    EXPECT_EQ(hit[0].platform.compilerStats.get("cache.hit"), 1.0);
+    EXPECT_EQ(hit[0].platform.jobStats.get("job.ir.ms"), 0.0);
 }
 
 TEST(RecipeMemo, RequestsDifferingInOneRecipeFieldNeverShareAnEntry)
 {
     // Each variant changes exactly one recipe field of the base
-    // request; none may be served from another's memo entry.
+    // request; none may be served from another's entry.
     ServiceRequest base;
     base.workload = "dblookup";
     base.fhe = smallFhe();
@@ -877,7 +819,7 @@ TEST(RecipeMemo, RequestsDifferingInOneRecipeFieldNeverShareAnEntry)
     for (const ServiceRequest &req : variants)
         core.submit(req);
     core.flush();
-    EXPECT_EQ(core.statsSnapshot().get("cache.recipe_hits"), 0.0);
+    EXPECT_EQ(core.statsSnapshot().get("cache.hits"), 0.0);
 
     // Resubmitted at another SRAM size, each variant hits its own entry
     // and matches its own uncached compile.
@@ -889,10 +831,11 @@ TEST(RecipeMemo, RequestsDifferingInOneRecipeFieldNeverShareAnEntry)
     }
     std::vector<ServiceResult> hit = core.flush();
     std::vector<ServiceResult> ref = oracle.flush();
-    EXPECT_EQ(core.statsSnapshot().get("cache.recipe_hits"),
+    EXPECT_EQ(core.statsSnapshot().get("cache.hits"),
               double(variants.size()));
     ASSERT_EQ(hit.size(), ref.size());
     for (size_t i = 0; i < hit.size(); ++i) {
+        EXPECT_EQ(hit[i].stats.get("job.ir.ms"), 0.0) << "variant " << i;
         hit[i].seq = ref[i].seq = 0; // the cores numbered differently
         EXPECT_EQ(canonicalResultBytes(hit[i]), canonicalResultBytes(ref[i]))
             << "variant " << i;
@@ -901,8 +844,8 @@ TEST(RecipeMemo, RequestsDifferingInOneRecipeFieldNeverShareAnEntry)
 
 TEST(RecipeMemo, SerialRecipeJobsKeepUncachedAnalysisStats)
 {
-    // Three jobs of one recipe in the serial engine: the second and
-    // third read the first's snapshot in place (one shared uid), yet
+    // Three jobs of one recipe in the serial engine: all three read one
+    // snapshot in place (one shared uid), yet
     // every job's `analysis.*` counts — and all its other compiler
     // stats — equal the uncached compile's.
     auto grid = [] {
@@ -928,12 +871,14 @@ TEST(RecipeMemo, SerialRecipeJobsKeepUncachedAnalysisStats)
     SweepEngine engine({1, &cache});
     for (SweepJob &job : grid())
         engine.submit(std::move(job));
-    const std::vector<SweepResult> &memo = engine.runAll();
-    EXPECT_EQ(cache.statsSnapshot().get("cache.recipe_hits"), 2.0);
+    const std::vector<SweepResult> &keyed = engine.runAll();
+    EXPECT_EQ(cache.statsSnapshot().get("cache.hits"), 2.0);
+    EXPECT_EQ(keyed[1].platform.jobStats.get("job.ir.ms"), 0.0);
+    EXPECT_EQ(keyed[2].platform.jobStats.get("job.ir.ms"), 0.0);
 
-    ASSERT_EQ(memo.size(), plain.size());
+    ASSERT_EQ(keyed.size(), plain.size());
     for (size_t i = 0; i < plain.size(); ++i) {
-        const StatSet &got = memo[i].platform.compilerStats;
+        const StatSet &got = keyed[i].platform.compilerStats;
         const StatSet &want = plain[i].platform.compilerStats;
         size_t analysis_keys = 0;
         for (const auto &[key, value] : want.all()) {
@@ -945,10 +890,10 @@ TEST(RecipeMemo, SerialRecipeJobsKeepUncachedAnalysisStats)
         EXPECT_GT(analysis_keys, 0u);
         EXPECT_EQ(comparableStats(got), comparableStats(want))
             << plain[i].name;
-        EXPECT_EQ(memo[i].platform.machineFingerprint,
+        EXPECT_EQ(keyed[i].platform.machineFingerprint,
                   plain[i].platform.machineFingerprint)
             << plain[i].name;
-        EXPECT_DOUBLE_EQ(memo[i].platform.sim.cycles,
+        EXPECT_DOUBLE_EQ(keyed[i].platform.sim.cycles,
                          plain[i].platform.sim.cycles)
             << plain[i].name;
     }

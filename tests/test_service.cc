@@ -569,7 +569,7 @@ TEST(ServiceCore, ResultsMatchBatchModeSweepEngine)
     EXPECT_GT(core.statsSnapshot().get("cache.hits"), 0.0);
 }
 
-// --- Recipe memo: the warm-hit zero-copy path --------------------------------
+// --- Recipe keys: the warm-hit zero-copy path -------------------------------
 
 /** A request of `kind` at the smallest parameters its builder runs
  *  with (toy ones for dblookup and tfhe; the paper-scale kinds need
@@ -638,22 +638,22 @@ serveOne(ServiceCore &core, const ServiceRequest &req)
     return canonicalResultBytes(results[0]);
 }
 
-/** A second-batch memo hit of `kind` at another SRAM size must equal,
- *  byte for byte, both a cold rebuild and the uncached oracle. */
+/** A second-batch recipe hit of `kind` at another SRAM size must
+ *  equal, byte for byte, both a cold rebuild and the uncached oracle. */
 void
-expectMemoHitMatchesRebuildAndOracle(const char *kind)
+expectRecipeHitMatchesRebuildAndOracle(const char *kind)
 {
     ServiceOptions opts;
     opts.threads = 2;
     // Warm core: the first batch builds the recipe at 27 MB, the second
-    // serves it at 13 MB from the memo.
+    // serves it at 13 MB from the recipe's cache entry.
     ServiceCore warm(opts);
     serveOne(warm, minimalRequest(kind, 27));
-    ASSERT_EQ(warm.statsSnapshot().get("cache.recipe_hits"), 0.0) << kind;
+    ASSERT_EQ(warm.statsSnapshot().get("cache.hits"), 0.0) << kind;
     warm.submit(minimalRequest(kind, 13));
     std::vector<ServiceResult> hit = warm.flush();
     ASSERT_EQ(hit.size(), 1u) << kind;
-    EXPECT_EQ(warm.statsSnapshot().get("cache.recipe_hits"), 1.0) << kind;
+    EXPECT_EQ(warm.statsSnapshot().get("cache.hits"), 1.0) << kind;
     EXPECT_EQ(hit[0].stats.get("job.ir.ms"), 0.0) << kind;
     EXPECT_EQ(hit[0].stats.get("compile.cache.hit"), 1.0) << kind;
     hit[0].seq = 0;
@@ -662,7 +662,7 @@ expectMemoHitMatchesRebuildAndOracle(const char *kind)
     ServiceCore cold(opts);
     const std::vector<uint8_t> rebuilt =
         serveOne(cold, minimalRequest(kind, 13));
-    EXPECT_EQ(cold.statsSnapshot().get("cache.recipe_hits"), 0.0) << kind;
+    EXPECT_EQ(cold.statsSnapshot().get("cache.hits"), 0.0) << kind;
     ServiceCore oracle(oracleOptions(opts));
     const std::vector<uint8_t> ref =
         serveOne(oracle, minimalRequest(kind, 13));
@@ -673,22 +673,21 @@ expectMemoHitMatchesRebuildAndOracle(const char *kind)
 
 TEST(RecipeMemo, SmallKindsHitByteIdenticalToRebuildAndOracle)
 {
-    expectMemoHitMatchesRebuildAndOracle("dblookup");
-    expectMemoHitMatchesRebuildAndOracle("tfhe");
+    expectRecipeHitMatchesRebuildAndOracle("dblookup");
+    expectRecipeHitMatchesRebuildAndOracle("tfhe");
 }
 
 // Paper-scale kinds: registered only in the `slow` CTest configuration.
 TEST(SlowRecipeMemo, PaperScaleKindsHitByteIdenticalToRebuildAndOracle)
 {
     for (const char *kind : {"bootstrap", "helr", "resnet20"})
-        expectMemoHitMatchesRebuildAndOracle(kind);
+        expectRecipeHitMatchesRebuildAndOracle(kind);
 }
 
 TEST(RecipeMemo, EvictedSnapshotRebuildsIdentically)
 {
-    // A budget below one snapshot evicts every entry as it publishes:
-    // the memo still names the recipe's snapshot, but must not serve
-    // it — the next request of the recipe rebuilds, counted as a miss.
+    // A budget below one snapshot evicts every entry as it publishes,
+    // so the next request of the recipe rebuilds, counted as a miss.
     ServiceOptions opts;
     opts.threads = 2;
     opts.cacheBytes = 4096;
@@ -699,11 +698,41 @@ TEST(RecipeMemo, EvictedSnapshotRebuildsIdentically)
         serveOne(core, minimalRequest("dblookup", 13));
     const StatSet stats = core.statsSnapshot();
     EXPECT_EQ(stats.get("cache.misses"), 2.0);
-    EXPECT_EQ(stats.get("cache.recipe_hits"), 0.0);
+    EXPECT_EQ(stats.get("cache.hits"), 0.0);
     EXPECT_EQ(stats.get("cache.evictions"), 2.0);
 
     ServiceCore oracle(oracleOptions(opts));
     EXPECT_EQ(again, serveOne(oracle, minimalRequest("dblookup", 13)));
+}
+
+TEST(RecipeMemo, FieldsTheBuilderIgnoresShareAnEntry)
+{
+    // tfhe's builder reads no FheParams field and dblookup's param 0 is
+    // its 256 records: the second request of each pair builds nothing.
+    ServiceOptions opts;
+    opts.threads = 1;
+    ServiceCore core(opts);
+    ServiceRequest tfhe = minimalRequest("tfhe", 27);
+    ServiceRequest tfhe_other = tfhe;
+    tfhe_other.fhe.logN += 1;
+    tfhe_other.fhe.levels += 2;
+    tfhe_other.fhe.dnum += 1;
+    tfhe_other.fhe.lanes /= 2;
+    ServiceRequest db_default = minimalRequest("dblookup", 27);
+    db_default.param = 0;
+    ServiceRequest db_256 = db_default;
+    db_256.param = 256;
+    for (const auto &pair : {std::make_pair(tfhe, tfhe_other),
+                             std::make_pair(db_default, db_256)}) {
+        serveOne(core, pair.first);
+        core.submit(pair.second);
+        const std::vector<ServiceResult> second = core.flush();
+        ASSERT_EQ(second.size(), 1u);
+        EXPECT_EQ(second[0].status, ServiceStatus::Ok) << second[0].error;
+        EXPECT_EQ(second[0].stats.get("job.ir.ms"), 0.0) << second[0].name;
+        EXPECT_EQ(second[0].stats.get("compile.cache.hit"), 1.0)
+            << second[0].name;
+    }
 }
 
 // --- Replay determinism ----------------------------------------------------
@@ -988,11 +1017,24 @@ TEST(ServiceDefaults, EnvironmentOverridesParse)
     EXPECT_EQ(defaultQueueCapacity(), 17u);
     ::setenv("EFFACT_QUEUE_DEPTH", "not-a-number", 1);
     EXPECT_EQ(defaultQueueCapacity(), 64u);
+    for (const char *bad : {"+5", " 5", "5 ", "18446744073709551616"}) {
+        ::setenv("EFFACT_QUEUE_DEPTH", bad, 1);
+        EXPECT_EQ(defaultQueueCapacity(), 64u) << bad;
+    }
     ::unsetenv("EFFACT_QUEUE_DEPTH");
     EXPECT_EQ(defaultQueueCapacity(), 64u);
 
     ::setenv("EFFACT_CACHE_BYTES", "123456", 1);
     EXPECT_EQ(defaultCacheBytes(), 123456u);
+    ::setenv("EFFACT_CACHE_BYTES", "0", 1);
+    EXPECT_EQ(defaultCacheBytes(), 0u);
+    // strtoull would take "-1" as 2^64 - 1; a sign is not a size.
+    ::setenv("EFFACT_CACHE_BYTES", "-1", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(defaultCacheBytes(), 0u);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "EFFACT_CACHE_BYTES='-1'"),
+              std::string::npos);
     ::unsetenv("EFFACT_CACHE_BYTES");
     EXPECT_EQ(defaultCacheBytes(), 0u);
 }
