@@ -4,8 +4,29 @@
 
 #include "common/logging.h"
 #include "math/automorphism.h"
+#include "math/kernels.h"
 
 namespace effact {
+
+namespace {
+
+/** Pointwise product a ⊙ b into a fresh Eval polynomial. */
+RnsPoly
+mulEval(const RnsPoly &a, const RnsPoly &b)
+{
+    EFFACT_ASSERT(a.format() == PolyFormat::Eval &&
+                      b.format() == PolyFormat::Eval &&
+                      a.limbCount() == b.limbCount(),
+                  "mulEval operand mismatch");
+    RnsPoly out(a.basisPtr(), PolyFormat::Eval);
+    const kernels::KernelTable &k = kernels::active();
+    for (size_t j = 0; j < a.limbCount(); ++j)
+        k.mulModV(out.limb(j).data(), a.limb(j).data(), b.limb(j).data(),
+                  a.degree(), a.basis().limb(j).barrett);
+    return out;
+}
+
+} // namespace
 
 CkksEvaluator::CkksEvaluator(const CkksContext &ctx,
                              const CkksEncoder &encoder,
@@ -132,24 +153,19 @@ CkksEvaluator::mult(const Ciphertext &a, const Ciphertext &b) const
     }
 
     // (d0, d1, d2) = (a0 b0, a0 b1 + a1 b0, a1 b1).
-    RnsPoly d0 = pa->polys[0];
-    d0.mulEvalInPlace(pb->polys[0]);
-    RnsPoly d1a = pa->polys[0];
-    d1a.mulEvalInPlace(pb->polys[1]);
-    RnsPoly d1b = pa->polys[1];
-    d1b.mulEvalInPlace(pb->polys[0]);
-    d1a.addInPlace(d1b);
-    RnsPoly d2 = pa->polys[1];
-    d2.mulEvalInPlace(pb->polys[1]);
+    RnsPoly d0 = mulEval(pa->polys[0], pb->polys[0]);
+    RnsPoly d1 = mulEval(pa->polys[0], pb->polys[1]);
+    d1.addInPlace(mulEval(pa->polys[1], pb->polys[0]));
+    RnsPoly d2 = mulEval(pa->polys[1], pb->polys[1]);
 
     auto [k0, k1] = keySwitch(d2, *relin_key_);
     d0.addInPlace(k0);
-    d1a.addInPlace(k1);
+    d1.addInPlace(k1);
 
     Ciphertext out;
     out.scale = pa->scale * pb->scale;
     out.polys.push_back(std::move(d0));
-    out.polys.push_back(std::move(d1a));
+    out.polys.push_back(std::move(d1));
     return out;
 }
 
@@ -164,28 +180,31 @@ CkksEvaluator::rescale(const Ciphertext &ct) const
 {
     const size_t level = ct.level();
     EFFACT_ASSERT(level >= 2, "cannot rescale at level %zu", level);
-    const u64 q_last = ctx_.qBasis()->prime(level - 1);
-    auto new_basis = ctx_.qBasisAt(level - 1);
+    const RnsBasis &q = *ctx_.qBasis();
+    const LimbContext &last_ctx = q.limb(level - 1);
+    const std::vector<u64> &q_last_inv = ctx_.qLastInvModQ(level);
+    const size_t n = ctx_.degree();
+    const kernels::KernelTable &k = kernels::active();
 
     Ciphertext out;
-    out.scale = ct.scale / static_cast<double>(q_last);
+    out.scale = ct.scale / static_cast<double>(last_ctx.q);
     for (const auto &poly : ct.polys) {
-        RnsPoly c = poly;
-        c.toCoeff();
-        RnsPoly dropped(new_basis, PolyFormat::Coeff);
-        const auto &last = c.limb(level - 1);
+        EFFACT_ASSERT(poly.format() == PolyFormat::Eval,
+                      "rescale expects Eval-format ciphertexts");
+        // c_j <- (c_j - NTT_j([c_last] mod q_j)) * q_last^-1 in Eval form:
+        // one iNTT of the dropped limb plus one NTT per kept limb.
+        RnsPoly::LimbVec last = poly.limb(level - 1);
+        last_ctx.ntt.backward(last.data());
+        RnsPoly dropped(ctx_.qBasisAt(level - 1), PolyFormat::Eval);
         for (size_t j = 0; j + 1 < level; ++j) {
-            const u64 qj = ctx_.qBasis()->prime(j);
-            const u64 inv = invMod(q_last % qj, qj);
-            const Barrett &br = ctx_.qBasis()->limb(j).barrett;
-            auto &dst = dropped.limb(j);
-            const auto &src = c.limb(j);
-            for (size_t i = 0; i < src.size(); ++i) {
-                u64 t = subMod(src[i], last[i] % qj, qj);
-                dst[i] = br.mul(t, inv);
-            }
+            const LimbContext &lc = q.limb(j);
+            u64 *dst = dropped.limb(j).data();
+            for (size_t i = 0; i < n; ++i)
+                dst[i] = lc.barrett.reduce(last[i]);
+            lc.ntt.forward(dst);
+            k.subModV(dst, poly.limb(j).data(), dst, n, lc.q);
+            k.mulConstV(dst, dst, n, q_last_inv[j], lc.barrett);
         }
-        dropped.toEval();
         out.polys.push_back(std::move(dropped));
     }
     return out;
@@ -209,13 +228,25 @@ CkksEvaluator::levelTo(const Ciphertext &ct, size_t target_level) const
 Ciphertext
 CkksEvaluator::rotate(const Ciphertext &ct, int steps) const
 {
-    EFFACT_ASSERT(galois_keys_ != nullptr, "rotate requires Galois keys");
     if (steps == 0)
         return ct;
-    const u64 t = galoisElt(steps, ctx_.degree());
+    return applyGalois(ct, galoisElt(steps, ctx_.degree()));
+}
+
+Ciphertext
+CkksEvaluator::conjugate(const Ciphertext &ct) const
+{
+    return applyGalois(ct, galoisEltConjugate(ctx_.degree()));
+}
+
+Ciphertext
+CkksEvaluator::applyGalois(const Ciphertext &ct, u64 t) const
+{
+    EFFACT_ASSERT(galois_keys_ != nullptr,
+                  "rotate/conjugate requires Galois keys");
     auto it = galois_keys_->find(t);
     EFFACT_ASSERT(it != galois_keys_->end(),
-                  "missing Galois key for step %d (element %llu)", steps,
+                  "missing Galois key for element %llu",
                   static_cast<unsigned long long>(t));
 
     RnsPoly c0r = ct.polys[0].automorph(t);
@@ -230,63 +261,19 @@ CkksEvaluator::rotate(const Ciphertext &ct, int steps) const
     return out;
 }
 
-Ciphertext
-CkksEvaluator::conjugate(const Ciphertext &ct) const
-{
-    EFFACT_ASSERT(galois_keys_ != nullptr,
-                  "conjugate requires Galois keys");
-    const u64 t = galoisEltConjugate(ctx_.degree());
-    auto it = galois_keys_->find(t);
-    EFFACT_ASSERT(it != galois_keys_->end(), "missing conjugation key");
-
-    RnsPoly c0r = ct.polys[0].automorph(t);
-    RnsPoly c1r = ct.polys[1].automorph(t);
-    auto [k0, k1] = keySwitch(c1r, it->second);
-    c0r.addInPlace(k0);
-
-    Ciphertext out;
-    out.scale = ct.scale;
-    out.polys.push_back(std::move(c0r));
-    out.polys.push_back(std::move(k1));
-    return out;
-}
-
 RnsPoly
-CkksEvaluator::restrictKeyPoly(const RnsPoly &kp, size_t level) const
+CkksEvaluator::modDown(RnsPoly q_part, RnsPoly p_part) const
 {
-    const size_t levels = ctx_.levels();
-    const size_t alpha = ctx_.alpha();
-    std::vector<size_t> idx;
-    idx.reserve(level + alpha);
-    for (size_t j = 0; j < level; ++j)
-        idx.push_back(j);
-    for (size_t j = 0; j < alpha; ++j)
-        idx.push_back(levels + j);
-    return RnsPoly::gather(kp, ctx_.qpBasisAt(level), idx);
-}
-
-RnsPoly
-CkksEvaluator::modDown(RnsPoly acc, size_t level) const
-{
-    const size_t alpha = ctx_.alpha();
-    acc.toCoeff();
-
-    std::vector<size_t> q_idx(level), p_idx(alpha);
-    for (size_t j = 0; j < level; ++j)
-        q_idx[j] = j;
-    for (size_t j = 0; j < alpha; ++j)
-        p_idx[j] = level + j;
-    RnsPoly q_part = RnsPoly::gather(acc, ctx_.qBasisAt(level), q_idx);
-    RnsPoly p_part = RnsPoly::gather(acc, ctx_.pBasis(), p_idx);
-
+    const size_t level = q_part.limbCount();
+    p_part.toCoeff();
     RnsPoly conv = ctx_.modDownConverter(level).convertExact(p_part);
+    conv.toEval();
     q_part.subInPlace(conv);
 
     std::vector<u64> p_inv(level);
     for (size_t j = 0; j < level; ++j)
         p_inv[j] = ctx_.pInvModQ(j);
     q_part.mulScalarPerLimb(p_inv);
-    q_part.toEval();
     return q_part;
 }
 
@@ -294,36 +281,69 @@ std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &d, const SwitchingKey &key) const
 {
     const size_t level = d.limbCount();
-    RnsPoly dc = d;
-    dc.toCoeff();
+    const size_t levels = ctx_.levels();
+    const size_t alpha = ctx_.alpha();
+    const size_t n = ctx_.degree();
+    const kernels::KernelTable &k = kernels::active();
 
-    auto qp_basis = ctx_.qpBasisAt(level);
-    RnsPoly acc0(qp_basis, PolyFormat::Eval);
-    RnsPoly acc1(qp_basis, PolyFormat::Eval);
+    // BConv reads d in Coeff form; each digit's own limbs enter the key
+    // product in Eval form. Either way d is transformed once.
+    const bool is_eval = d.format() == PolyFormat::Eval;
+    RnsPoly other = d;
+    if (is_eval)
+        other.toCoeff();
+    else
+        other.toEval();
+    const RnsPoly &d_coeff = is_eval ? other : d;
+    const RnsPoly &d_eval = is_eval ? d : other;
+
+    // The Q_l ∪ P accumulators, split so ModDown gathers nothing.
+    RnsPoly acc0_q(ctx_.qBasisAt(level), PolyFormat::Eval);
+    RnsPoly acc1_q(ctx_.qBasisAt(level), PolyFormat::Eval);
+    RnsPoly acc0_p(ctx_.pBasis(), PolyFormat::Eval);
+    RnsPoly acc1_p(ctx_.pBasis(), PolyFormat::Eval);
+    RnsPoly::LimbVec prod(n);
+    auto mulAdd = [&](RnsPoly::LimbVec &acc, const u64 *u, const u64 *kl,
+                      const LimbContext &lc) {
+        k.mulModV(prod.data(), u, kl, n, lc.barrett);
+        k.addModV(acc.data(), acc.data(), prod.data(), n, lc.q);
+    };
 
     const size_t digits = ctx_.digitCount(level);
     EFFACT_ASSERT(digits <= key.b.size(), "switching key has too few digits");
     for (size_t digit = 0; digit < digits; ++digit) {
         auto [begin, end] = ctx_.digitRange(digit, level);
+        const size_t width = end - begin;
         std::vector<size_t> idx;
         for (size_t j = begin; j < end; ++j)
             idx.push_back(j);
-        RnsPoly digit_poly = RnsPoly::gather(
-            dc, ctx_.qBasis()->range(begin, end), idx);
-
-        RnsPoly up = ctx_.modUpConverter(digit, level).convert(digit_poly);
+        RnsPoly up = ctx_.modUpConverter(digit, level).convert(
+            RnsPoly::gather(d_coeff, ctx_.qBasis()->range(begin, end), idx));
         up.toEval();
 
-        RnsPoly prod_b = up;
-        prod_b.mulEvalInPlace(restrictKeyPoly(key.b[digit], level));
-        acc0.addInPlace(prod_b);
-
-        up.mulEvalInPlace(restrictKeyPoly(key.a[digit], level));
-        acc1.addInPlace(up);
+        // acc{0,1}[i] += x[i] * key.{b,a}[digit][i] over Q_l ∪ P, where
+        // the raised digit x[i] is d's own Eval limb for i in
+        // [begin, end) and converter output limb i (before the digit) or
+        // i - width (after it). The key lives on the full Q ∪ P basis,
+        // so its limb i sits at i (Q) or at L + i - l (P).
+        const RnsPoly &kb = key.b[digit];
+        const RnsPoly &ka = key.a[digit];
+        for (size_t i = 0; i < level + alpha; ++i) {
+            const u64 *u = i < begin ? up.limb(i).data()
+                           : i < end ? d_eval.limb(i).data()
+                                     : up.limb(i - width).data();
+            const bool is_q = i < level;
+            const size_t ki = is_q ? i : levels + (i - level);
+            const LimbContext &lc = kb.basis().limb(ki);
+            mulAdd(is_q ? acc0_q.limb(i) : acc0_p.limb(i - level), u,
+                   kb.limb(ki).data(), lc);
+            mulAdd(is_q ? acc1_q.limb(i) : acc1_p.limb(i - level), u,
+                   ka.limb(ki).data(), lc);
+        }
     }
 
-    return {modDown(std::move(acc0), level), modDown(std::move(acc1),
-                                                     level)};
+    return {modDown(std::move(acc0_q), std::move(acc0_p)),
+            modDown(std::move(acc1_q), std::move(acc1_p))};
 }
 
 } // namespace effact

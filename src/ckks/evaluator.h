@@ -2,6 +2,17 @@
  * @file
  * CKKS homomorphic evaluator: HADD/HMULT/HROT (Fig. 1b level 2),
  * rescale, and dnum-digit key switching with ModUp/ModDown (Sec. II-C).
+ *
+ * Key switching and rescale run the dataflow `KernelBuilder` emits
+ * (src/ir/kernels.cc): limbs stay in Eval form and a transform runs
+ * only where BConv needs coefficients. At level l with alpha special
+ * primes, a key switch of an Eval-format input costs l iNTTs (ModUp
+ * input), l + alpha - |digit| NTTs per digit (ModUp output) and
+ * alpha + l transforms per ModDown; a rescale costs 1 + (l - 1)
+ * transforms per polynomial. ModDown and rescale match the IR's counts;
+ * ModUp reuses each digit's own limbs where the IR re-NTTs them. At
+ * l = 16, alpha = 4: 120 transforms per key switch (IR: 136) and 32
+ * per rescale.
  */
 #ifndef EFFACT_CKKS_EVALUATOR_H
 #define EFFACT_CKKS_EVALUATOR_H
@@ -51,7 +62,12 @@ class CkksEvaluator
 
     // --- Maintenance (Fig. 1b level 1.5) --------------------------------
 
-    /** Divides by the last chain prime; drops one level. */
+    /**
+     * Divides by the last chain prime; drops one level. Per polynomial
+     * only the dropped limb is iNTT'd; its reduction mod each kept
+     * prime is NTT'd once and subtracted in Eval form (1 + (l - 1)
+     * transforms, as `KernelBuilder::rescale`).
+     */
     Ciphertext rescale(const Ciphertext &ct) const;
 
     /** Drops limbs without dividing (level alignment). */
@@ -65,7 +81,14 @@ class CkksEvaluator
 
     /**
      * Key switching: given d (a polynomial decryptable under some s'),
-     * returns (k0, k1) with k0 + k1*s ≈ d*s' (all over Q_level).
+     * returns (k0, k1) with k0 + k1*s ≈ d*s' (all over Q_level, Eval
+     * format). `d` may be in either format. ModUp converts each digit
+     * onto its complement only; the key product reads the key limbs in
+     * place; ModDown iNTTs only the alpha P limbs and subtracts the
+     * NTT'd conversion from the Q limbs in Eval form. Transform count
+     * (Eval input): l + sum over digits of (l + alpha - |digit|) +
+     * 2 * (alpha + l), which is `KernelBuilder::keySwitch`'s count less
+     * the digits' own limbs.
      */
     std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly &d,
                                           const SwitchingKey &key) const;
@@ -74,11 +97,14 @@ class CkksEvaluator
     const CkksEncoder &encoder() const { return encoder_; }
 
   private:
-    /** Restricts a full-basis key polynomial to Q_level ∪ P. */
-    RnsPoly restrictKeyPoly(const RnsPoly &kp, size_t level) const;
+    /** Automorphism sigma_t plus key switch (rotate and conjugate). */
+    Ciphertext applyGalois(const Ciphertext &ct, u64 t) const;
 
-    /** ModDown: Q_l ∪ P -> Q_l with P division (exact converter). */
-    RnsPoly modDown(RnsPoly acc, size_t level) const;
+    /**
+     * ModDown of an Eval-format accumulator split into its Q_l and P
+     * parts: (q - NTT(BConv_exact(iNTT(p)))) * P^-1, over Q_l.
+     */
+    RnsPoly modDown(RnsPoly q_part, RnsPoly p_part) const;
 
     /** Aligns b's level/scale to a's for addition-like ops. */
     void checkAddCompatible(const Ciphertext &a, const Ciphertext &b) const;

@@ -2,7 +2,7 @@
  * @file
  * CKKS key material: secret key, dnum-digit switching keys (Sec. II-C),
  * and the key generator. Switching keys live on the full Q ∪ P basis;
- * the evaluator restricts them to the active level when used.
+ * the evaluator reads the active level's limbs in place when used.
  */
 #ifndef EFFACT_CKKS_KEYS_H
 #define EFFACT_CKKS_KEYS_H

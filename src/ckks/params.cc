@@ -48,22 +48,36 @@ CkksContext::CkksContext(const CkksParams &params) : params_(params)
         p_inv_mod_q_[j] = invMod(acc, qj);
     }
 
-    mod_up_cache_.resize(params.levels + 1);
-    for (auto &per_level : mod_up_cache_)
-        per_level.resize(params.dnum);
-    mod_down_cache_.resize(params.levels + 1);
+    // Every converter and rescale constant any level can ask for, built
+    // eagerly: the accessors are then read-only, so threads sharing one
+    // context need no lock.
+    mod_up_.resize(params.levels);
+    mod_down_.reserve(params.levels);
+    q_last_inv_.resize(params.levels);
+    for (size_t level = 1; level <= params.levels; ++level) {
+        for (size_t digit = 0; digit < digitCount(level); ++digit) {
+            auto [begin, end] = digitRange(digit, level);
+            std::shared_ptr<const RnsBasis> rest = p_basis_;
+            if (end < level)
+                rest = q_basis_->range(end, level)->concat(*rest);
+            if (begin > 0)
+                rest = q_basis_->range(0, begin)->concat(*rest);
+            mod_up_[level - 1].emplace_back(q_basis_->range(begin, end),
+                                            std::move(rest));
+        }
+        mod_down_.emplace_back(p_basis_, qBasisAt(level));
+        const u64 q_last = q_basis_->prime(level - 1);
+        for (size_t j = 0; j + 1 < level; ++j) {
+            const u64 qj = q_basis_->prime(j);
+            q_last_inv_[level - 1].push_back(invMod(q_last % qj, qj));
+        }
+    }
 }
 
 std::shared_ptr<const RnsBasis>
 CkksContext::qBasisAt(size_t level) const
 {
     return q_basis_->prefix(level);
-}
-
-std::shared_ptr<const RnsBasis>
-CkksContext::qpBasisAt(size_t level) const
-{
-    return q_basis_->prefix(level)->concat(*p_basis_);
 }
 
 std::pair<size_t, size_t>
@@ -83,17 +97,10 @@ CkksContext::digitCount(size_t level) const
 const BaseConverter &
 CkksContext::modUpConverter(size_t digit, size_t level) const
 {
-    EFFACT_ASSERT(level <= params_.levels && digit < params_.dnum,
+    EFFACT_ASSERT(level >= 1 && level <= params_.levels &&
+                      digit < digitCount(level),
                   "modUpConverter(%zu, %zu) out of range", digit, level);
-    auto &slot = mod_up_cache_[level][digit];
-    if (!slot) {
-        auto [begin, end] = digitRange(digit, level);
-        EFFACT_ASSERT(begin < end, "digit %zu inactive at level %zu", digit,
-                      level);
-        slot = std::make_unique<BaseConverter>(q_basis_->range(begin, end),
-                                               qpBasisAt(level));
-    }
-    return *slot;
+    return mod_up_[level - 1][digit];
 }
 
 const BaseConverter &
@@ -101,10 +108,15 @@ CkksContext::modDownConverter(size_t level) const
 {
     EFFACT_ASSERT(level >= 1 && level <= params_.levels,
                   "modDownConverter level %zu out of range", level);
-    auto &slot = mod_down_cache_[level];
-    if (!slot)
-        slot = std::make_unique<BaseConverter>(p_basis_, qBasisAt(level));
-    return *slot;
+    return mod_down_[level - 1];
+}
+
+const std::vector<u64> &
+CkksContext::qLastInvModQ(size_t level) const
+{
+    EFFACT_ASSERT(level >= 2 && level <= params_.levels,
+                  "qLastInvModQ level %zu out of range", level);
+    return q_last_inv_[level - 1];
 }
 
 } // namespace effact

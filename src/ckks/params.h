@@ -52,9 +52,6 @@ class CkksContext
     /** Q-chain prefix of `level` limbs. */
     std::shared_ptr<const RnsBasis> qBasisAt(size_t level) const;
 
-    /** Q_l ∪ P basis used during key switching at `level`. */
-    std::shared_ptr<const RnsBasis> qpBasisAt(size_t level) const;
-
     /** Full Q ∪ P basis (keys live here). */
     std::shared_ptr<const RnsBasis> qpBasis() const { return qp_basis_; }
 
@@ -70,11 +67,24 @@ class CkksContext
     /** P^-1 mod q_j. */
     u64 pInvModQ(size_t j) const { return p_inv_mod_q_[j]; }
 
-    /** Cached converter: digit `d` at `level` -> Q_level ∪ P. */
+    /**
+     * ModUp converter: digit `digit` at `level` -> the complement
+     * (Q_level minus the digit's primes) ∪ P. The digit's own primes are
+     * left out because BConv of a residue onto its own prime returns it
+     * unchanged. Output limb c sits at Q_level ∪ P position
+     * `c < begin ? c : c + (end - begin)` for the digit range
+     * [begin, end).
+     */
     const BaseConverter &modUpConverter(size_t digit, size_t level) const;
 
-    /** Cached converter: P -> Q_level (for ModDown). */
+    /** ModDown converter: P -> Q_level. */
     const BaseConverter &modDownConverter(size_t level) const;
+
+    /**
+     * Rescale constants at `level` (>= 2): q_{level-1}^-1 mod q_j for
+     * j < level - 1, one per kept limb.
+     */
+    const std::vector<u64> &qLastInvModQ(size_t level) const;
 
   private:
     CkksParams params_;
@@ -87,10 +97,10 @@ class CkksContext
     std::vector<u64> p_mod_q_;
     std::vector<u64> p_inv_mod_q_;
 
-    mutable std::vector<std::vector<std::unique_ptr<BaseConverter>>>
-        mod_up_cache_; ///< [level][digit]
-    mutable std::vector<std::unique_ptr<BaseConverter>>
-        mod_down_cache_; ///< [level]
+    // Built once in the constructor, so threads may share a context.
+    std::vector<std::vector<BaseConverter>> mod_up_; ///< [level-1][digit]
+    std::vector<BaseConverter> mod_down_;            ///< [level-1]
+    std::vector<std::vector<u64>> q_last_inv_;       ///< [level-1][j]
 };
 
 } // namespace effact

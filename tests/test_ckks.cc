@@ -11,6 +11,7 @@
 
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "math/automorphism.h"
 
 namespace effact {
 namespace {
@@ -45,6 +46,203 @@ maxErr(const std::vector<cplx> &a, const std::vector<cplx> &b)
     for (size_t i = 0; i < a.size(); ++i)
         err = std::max(err, std::abs(a[i] - b[i]));
     return err;
+}
+
+// --- Full-round-trip oracle -----------------------------------------
+// Key switching and rescale as full-basis round trips: iNTT every limb,
+// BConv each digit onto all of Q_l ∪ P, re-NTT, and ModDown / rescale
+// in Coeff form. The evaluator skips the transforms whose result it
+// already holds; NTT is a bijection mod q, so both must agree limb for
+// limb.
+
+std::shared_ptr<const RnsBasis>
+qpBasisAt(const CkksContext &ctx, size_t level)
+{
+    return ctx.qBasisAt(level)->concat(*ctx.pBasis());
+}
+
+std::vector<size_t>
+iota(size_t begin, size_t end)
+{
+    std::vector<size_t> idx;
+    for (size_t j = begin; j < end; ++j)
+        idx.push_back(j);
+    return idx;
+}
+
+RnsPoly
+oracleRestrictKey(const CkksContext &ctx, const RnsPoly &kp, size_t level)
+{
+    std::vector<size_t> idx = iota(0, level);
+    for (size_t j = 0; j < ctx.alpha(); ++j)
+        idx.push_back(ctx.levels() + j);
+    return RnsPoly::gather(kp, qpBasisAt(ctx, level), idx);
+}
+
+RnsPoly
+oracleModDown(const CkksContext &ctx, RnsPoly acc, size_t level)
+{
+    acc.toCoeff();
+    RnsPoly q_part = RnsPoly::gather(acc, ctx.qBasisAt(level),
+                                     iota(0, level));
+    RnsPoly p_part = RnsPoly::gather(acc, ctx.pBasis(),
+                                     iota(level, level + ctx.alpha()));
+    q_part.subInPlace(ctx.modDownConverter(level).convertExact(p_part));
+    std::vector<u64> p_inv(level);
+    for (size_t j = 0; j < level; ++j)
+        p_inv[j] = ctx.pInvModQ(j);
+    q_part.mulScalarPerLimb(p_inv);
+    q_part.toEval();
+    return q_part;
+}
+
+std::pair<RnsPoly, RnsPoly>
+oracleKeySwitch(const CkksContext &ctx, const RnsPoly &d,
+                const SwitchingKey &key)
+{
+    const size_t level = d.limbCount();
+    RnsPoly dc = d;
+    dc.toCoeff();
+    RnsPoly acc0(qpBasisAt(ctx, level), PolyFormat::Eval);
+    RnsPoly acc1(qpBasisAt(ctx, level), PolyFormat::Eval);
+    for (size_t digit = 0; digit < ctx.digitCount(level); ++digit) {
+        auto [begin, end] = ctx.digitRange(digit, level);
+        auto digit_basis = ctx.qBasis()->range(begin, end);
+        BaseConverter full(digit_basis, qpBasisAt(ctx, level));
+        RnsPoly up = full.convert(
+            RnsPoly::gather(dc, digit_basis, iota(begin, end)));
+        up.toEval();
+        RnsPoly prod_b = up;
+        prod_b.mulEvalInPlace(oracleRestrictKey(ctx, key.b[digit], level));
+        acc0.addInPlace(prod_b);
+        up.mulEvalInPlace(oracleRestrictKey(ctx, key.a[digit], level));
+        acc1.addInPlace(up);
+    }
+    return {oracleModDown(ctx, std::move(acc0), level),
+            oracleModDown(ctx, std::move(acc1), level)};
+}
+
+Ciphertext
+oracleRescale(const CkksContext &ctx, const Ciphertext &ct)
+{
+    const size_t level = ct.level();
+    const u64 q_last = ctx.qBasis()->prime(level - 1);
+    Ciphertext out;
+    out.scale = ct.scale / static_cast<double>(q_last);
+    for (const auto &poly : ct.polys) {
+        RnsPoly c = poly;
+        c.toCoeff();
+        RnsPoly dropped(ctx.qBasisAt(level - 1), PolyFormat::Coeff);
+        const auto &last = c.limb(level - 1);
+        for (size_t j = 0; j + 1 < level; ++j) {
+            const u64 qj = ctx.qBasis()->prime(j);
+            const u64 inv = invMod(q_last % qj, qj);
+            for (size_t i = 0; i < last.size(); ++i)
+                dropped.limb(j)[i] = mulMod(
+                    subMod(c.limb(j)[i], last[i] % qj, qj), inv, qj);
+        }
+        dropped.toEval();
+        out.polys.push_back(std::move(dropped));
+    }
+    return out;
+}
+
+/** HMULT of two same-level ciphertexts through the oracle key switch. */
+Ciphertext
+oracleMult(const CkksContext &ctx, const Ciphertext &a, const Ciphertext &b,
+           const SwitchingKey &relin)
+{
+    auto product = [](const RnsPoly &x, const RnsPoly &y) {
+        RnsPoly out = x;
+        out.mulEvalInPlace(y);
+        return out;
+    };
+    RnsPoly d0 = product(a.polys[0], b.polys[0]);
+    RnsPoly d1 = product(a.polys[0], b.polys[1]);
+    d1.addInPlace(product(a.polys[1], b.polys[0]));
+    auto [k0, k1] = oracleKeySwitch(ctx, product(a.polys[1], b.polys[1]),
+                                    relin);
+    d0.addInPlace(k0);
+    d1.addInPlace(k1);
+    Ciphertext out;
+    out.scale = a.scale * b.scale;
+    out.polys.push_back(std::move(d0));
+    out.polys.push_back(std::move(d1));
+    return out;
+}
+
+/** sigma_t plus the oracle key switch (rotate / conjugate). */
+Ciphertext
+oracleGalois(const CkksContext &ctx, const Ciphertext &ct, u64 t,
+             const SwitchingKey &key)
+{
+    RnsPoly c0r = ct.polys[0].automorph(t);
+    auto [k0, k1] = oracleKeySwitch(ctx, ct.polys[1].automorph(t), key);
+    c0r.addInPlace(k0);
+    Ciphertext out;
+    out.scale = ct.scale;
+    out.polys.push_back(std::move(c0r));
+    out.polys.push_back(std::move(k1));
+    return out;
+}
+
+void
+expectSamePoly(const RnsPoly &got, const RnsPoly &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.format(), want.format()) << what;
+    ASSERT_EQ(got.basis().primes(), want.basis().primes()) << what;
+    for (size_t j = 0; j < got.limbCount(); ++j)
+        ASSERT_TRUE(got.limb(j) == want.limb(j)) << what << " limb " << j;
+}
+
+void
+expectSameCt(const Ciphertext &got, const Ciphertext &want,
+             const std::string &what)
+{
+    EXPECT_EQ(got.scale, want.scale) << what;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i)
+        expectSamePoly(got.polys[i], want.polys[i],
+                       what + " poly " + std::to_string(i));
+}
+
+/**
+ * Key switch (Eval and Coeff input) and rescale of uniform random
+ * operands at every level, against the oracle. Covers the levels where
+ * the last digit is partial (level mod alpha != 0).
+ */
+void
+expectOracleAtEveryLevel(const CkksContext &ctx, const CkksEvaluator &ev,
+                         const SwitchingKey &key, Rng &rng)
+{
+    const std::string dnum = "dnum=" + std::to_string(ctx.params().dnum);
+    for (size_t level = 1; level <= ctx.levels(); ++level) {
+        const std::string at = dnum + " level=" + std::to_string(level);
+        RnsPoly d(ctx.qBasisAt(level), PolyFormat::Eval);
+        d.sampleUniform(rng);
+        auto [k0, k1] = ev.keySwitch(d, key);
+        auto [w0, w1] = oracleKeySwitch(ctx, d, key);
+        expectSamePoly(k0, w0, at + " keySwitch k0");
+        expectSamePoly(k1, w1, at + " keySwitch k1");
+
+        RnsPoly dc = d;
+        dc.toCoeff();
+        auto [c0, c1] = ev.keySwitch(dc, key);
+        expectSamePoly(c0, k0, at + " Coeff-input keySwitch k0");
+        expectSamePoly(c1, k1, at + " Coeff-input keySwitch k1");
+
+        if (level < 2)
+            continue;
+        Ciphertext ct;
+        ct.scale = ctx.scale() * ctx.scale();
+        for (int i = 0; i < 2; ++i) {
+            ct.polys.emplace_back(ctx.qBasisAt(level), PolyFormat::Eval);
+            ct.polys.back().sampleUniform(rng);
+        }
+        expectSameCt(ev.rescale(ct), oracleRescale(ctx, ct),
+                     at + " rescale");
+    }
 }
 
 class CkksFixture : public ::testing::Test
@@ -239,6 +437,37 @@ TEST_F(CkksFixture, LevelToPreservesMessage)
     EXPECT_LT(maxErr(a, out), 1e-4);
 }
 
+TEST_F(CkksFixture, KeySwitchAndRescaleMatchOracleAtEveryLevel)
+{
+    expectOracleAtEveryLevel(ctx, eval, relin, rng);
+}
+
+TEST_F(CkksFixture, MultRotateConjugateMatchOracle)
+{
+    auto a = randomMessage(rng, ctx.slots());
+    auto b = randomMessage(rng, ctx.slots());
+    for (size_t level : {ctx.levels(), size_t(3)}) {
+        const std::string at = "level=" + std::to_string(level);
+        Ciphertext ca = enc.encrypt(encoder.encode(a, ctx.scale(), level));
+        Ciphertext cb = enc.encrypt(encoder.encode(b, ctx.scale(), level));
+        Ciphertext prod = eval.mult(ca, cb);
+        Ciphertext want = oracleMult(ctx, ca, cb, relin);
+        expectSameCt(prod, want, at + " mult");
+        expectSameCt(eval.rescale(prod), oracleRescale(ctx, want),
+                     at + " mult+rescale");
+        for (int steps : {1, 2, 3, -1, 4}) {
+            const u64 t = galoisElt(steps, ctx.degree());
+            expectSameCt(eval.rotate(ca, steps),
+                         oracleGalois(ctx, ca, t, galois.at(t)),
+                         at + " rotate " + std::to_string(steps));
+        }
+        const u64 t = galoisEltConjugate(ctx.degree());
+        expectSameCt(eval.conjugate(ca),
+                     oracleGalois(ctx, ca, t, galois.at(t)),
+                     at + " conjugate");
+    }
+}
+
 TEST_F(CkksFixture, DifferentDnumValuesAgree)
 {
     // The dnum decomposition must not change results, only noise.
@@ -264,6 +493,10 @@ TEST_F(CkksFixture, DifferentDnumValuesAgree)
         for (size_t i = 0; i < 16; ++i)
             EXPECT_LT(std::abs(out[i] - a[i] * b[i]), 1e-3)
                 << "dnum=" << dnum;
+
+        expectSameCt(ev2.mult(ca, cb), oracleMult(ctx2, ca, cb, rk2),
+                     "dnum=" + std::to_string(dnum) + " mult");
+        expectOracleAtEveryLevel(ctx2, ev2, rk2, rng2);
     }
 }
 
